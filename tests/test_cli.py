@@ -118,6 +118,15 @@ class TestVerifyCommand:
         assert main(["verify", "--code", "2 3 4 5 6", fixture_file]) == 0
 
 
+@pytest.mark.parametrize("command", ["verify", "minimalize"])
+@pytest.mark.parametrize("member", ["0", "10"])
+def test_out_of_range_member_message(command, member, fixture_file, capsys):
+    assert main([command, "--code", member, fixture_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lexid: error: code member {member} out of range 1..9\n"
+
+
 class TestTwinsCommand:
     def test_twins_found(self, k2_file, capsys):
         assert main(["twins", k2_file]) == 2
