@@ -8,8 +8,8 @@ I/O and generators, ordering strategies with random restarts, and a
 benchmark harness.
 """
 
-from .bench import BenchReport, BenchSample, bench, fit_loglog_slope, near_square_grid
-from .dense import DenseCoverageState, DenseWorkTally, lex_code_dense, min1, min2
+from .bench import BenchReport, BenchSample, bench, fit_loglog_slope
+from .dense import DenseWorkTally, lex_code_dense, min1, min2
 from .exact import MinimumResult, greedy_code, minimalize, minimum_code
 from .generate import (
     cycle_graph,
@@ -17,6 +17,7 @@ from .generate import (
     gnp_graph,
     grid_graph,
     hypercube_graph,
+    near_square_grid,
     nonminimal_grid_fixture,
     path_graph,
 )
@@ -51,7 +52,8 @@ from .orderings import (
 )
 from .restarts import RestartReport, run_restarts
 from .rng import SplitMix64, derive_seed
-from .sparse import SparseCoverageState, SparseWorkTally, lex_code_sparse, min3
+from .scan import CoverageState
+from .sparse import SparseWorkTally, lex_code_sparse, min3
 
 __version__ = "0.1.0"
 
@@ -60,7 +62,7 @@ __all__ = [
     "BenchSample",
     "ClosedNeighborhoodMatrix",
     "Code",
-    "DenseCoverageState",
+    "CoverageState",
     "DenseWorkTally",
     "Graph",
     "MinimumResult",
@@ -69,7 +71,6 @@ __all__ = [
     "ParseError",
     "RestartReport",
     "RunOutcome",
-    "SparseCoverageState",
     "SparseWorkTally",
     "SplitMix64",
     "TwinFailure",

@@ -23,13 +23,11 @@ import time
 from dataclasses import dataclass
 
 from .dense import DenseWorkTally, lex_code_dense
-from .generate import cycle_graph, gnp_graph, grid_graph, hypercube_graph, path_graph
-from .graph import Graph, find_twins
+from .generate import sized_instance
+from .graph import find_twins
 from .orderings import apply_sequence
 from .rng import SplitMix64, derive_seed
 from .sparse import SparseWorkTally, lex_code_sparse
-
-BENCH_FAMILIES = ("path", "cycle", "grid", "gnp", "hypercube")
 
 CSV_COLUMNS = (
     "record",
@@ -94,32 +92,6 @@ class BenchReport:
         return out.getvalue()
 
 
-def near_square_grid(n: int) -> tuple[int, int]:
-    """Factor n as rows x cols with rows the largest divisor at most sqrt(n)."""
-    rows = int(math.isqrt(n))
-    while n % rows:
-        rows -= 1
-    return rows, n // rows
-
-
-def _build_instance(family: str, size: int, seed: int, gnp_p: float) -> Graph:
-    if family == "path":
-        return path_graph(size)
-    if family == "cycle":
-        return cycle_graph(size)
-    if family == "grid":
-        rows, cols = near_square_grid(size)
-        return grid_graph(rows, cols)
-    if family == "gnp":
-        return gnp_graph(size, gnp_p, derive_seed(seed, size))
-    if family == "hypercube":
-        dim = size.bit_length() - 1
-        if 1 << dim != size:
-            raise ValueError(f"hypercube size must be a power of two, got {size}")
-        return hypercube_graph(dim)
-    raise ValueError(f"unknown bench family {family!r}; choose from {', '.join(BENCH_FAMILIES)}")
-
-
 def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x); needs >= 2 distinct x."""
     if len(points) < 2:
@@ -166,7 +138,7 @@ def bench(
     for family in families:
         for size in sizes:
             try:
-                g = _build_instance(family, size, seed, gnp_p)
+                g = sized_instance(family, size, seed, gnp_p)
             except ValueError as exc:
                 skipped.append((family, size, str(exc)))
                 continue

@@ -12,12 +12,12 @@ import os
 import sys
 from pathlib import Path
 
-from .bench import BENCH_FAMILIES, bench
+from .bench import bench
 from .exact import DEFAULT_EXACT_CAP, greedy_code, minimalize, minimum_code
 from .generate import FAMILIES, gen, nonminimal_grid_fixture
 from .graph import Code, Graph, TwinFailure, TwinsError, find_twins, is_identifying_code
 from .graphio import ParseError, parse_graph, to_dimacs, to_edge_list
-from .orderings import OrderingStrategy, apply_sequence, code_to_original
+from .orderings import STRATEGY_KINDS, OrderingStrategy, apply_sequence, code_to_original
 from .restarts import run_restarts
 from .rng import SplitMix64
 from .sparse import lex_code_sparse
@@ -149,11 +149,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    members = _parse_code_arg(args.code)
-    for v in members:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"code member {v} out of range 1..{g.n}")
-    if is_identifying_code(g, members):
+    if is_identifying_code(g, _parse_code_arg(args.code)):
         print("valid")
         return EXIT_OK
     print("invalid")
@@ -182,11 +178,8 @@ def _cmd_minimum(args: argparse.Namespace) -> int:
 
 def _cmd_minimalize(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    members = _parse_code_arg(args.code)
-    for v in members:
-        if not 1 <= v <= g.n:
-            raise ValueError(f"code member {v} out of range 1..{g.n}")
-    _print_code(minimalize(g, Code(members)))
+    # raw members, not a Code: the range check must name a member <= 0 first
+    _print_code(minimalize(g, _parse_code_arg(args.code)))
     return EXIT_OK
 
 
@@ -238,8 +231,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
     for family in families:
-        if family not in BENCH_FAMILIES:
-            raise ValueError(f"unknown bench family {family!r}; choose from {', '.join(BENCH_FAMILIES)}")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown bench family {family!r}; choose from {', '.join(FAMILIES)}")
     seed = args.seed if args.seed is not None else _default_seed()
     report = bench(families, sizes, repetitions=args.reps, seed=seed, gnp_p=args.gnp_p)
     text = report.to_csv()
@@ -259,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     algo = p.add_mutually_exclusive_group()
     algo.add_argument("--dense", action="store_true", help="use the bit-matrix algorithm")
     algo.add_argument("--sparse", action="store_true", help="use the adjacency-list algorithm (default)")
-    p.add_argument("--ordering", choices=("identity", "random", "degree-asc", "degree-desc", "explicit"),
-                   default="identity", help="vertex ordering before the run (default: identity)")
+    p.add_argument("--ordering", choices=STRATEGY_KINDS, default="identity",
+                   help="vertex ordering before the run (default: identity)")
     p.add_argument("--perm", help="processing order for --ordering explicit, e.g. '3,1,2'")
     p.add_argument("--seed", type=int, help=f"seed for random ordering (default: ${ENV_SEED} or 0)")
     p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
@@ -302,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("restarts", help="random-restart search for a small code")
     _add_graph_arg(p)
     p.add_argument("--restarts", type=int, default=100, help="number of restarts (default: 100)")
-    p.add_argument("--ordering", choices=("identity", "random", "degree-asc", "degree-desc", "explicit"),
-                   default="random", help="ordering strategy per restart (default: random)")
+    p.add_argument("--ordering", choices=STRATEGY_KINDS, default="random",
+                   help="ordering strategy per restart (default: random)")
     p.add_argument("--perm", help="processing order for --ordering explicit")
     p.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
     p.set_defaults(func=_cmd_restarts)

@@ -1,12 +1,8 @@
 """Lexicographic identifying-code construction over the bit-matrix view.
 
-The constructor scans vertices in index order and maintains an n x n bit
-matrix X whose row a is the bitset of N(v_a) intersected with the code built
-so far.  Vertex j forces a new codeword when its row is zero (not covered) or
-equals an earlier row (not identified); the codeword chosen is always the
-smallest vertex that can repair the defect, which is what makes the code
-lexicographic.  On a graph with twins the repair is impossible and the run
-reports the offending pair instead.
+Coverage rows are bitsets, so the scan's row comparisons are integer
+comparisons; inserting codeword l copies column l of the neighborhood matrix,
+which touches every row.
 """
 
 from __future__ import annotations
@@ -14,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Code, ClosedNeighborhoodMatrix, RunOutcome, TwinFailure, bits_to_vertices
+from .graph import ClosedNeighborhoodMatrix, RunOutcome
+from .scan import CoverageState, lex_scan
 
 
 @dataclass
@@ -36,25 +33,14 @@ class DenseWorkTally:
         return self.row_comparison_bits + self.scan_bits + self.column_copy_bits
 
 
-@dataclass(frozen=True)
-class DenseCoverageState:
-    """Snapshot of the coverage matrix after one step, for inspection in tests."""
-
-    step: int
-    rows: tuple[int, ...]  # rows[a-1] is the bitset of N(v_a) ∩ C
-    code: tuple[int, ...]
-
-    def row(self, a: int) -> int:
-        return self.rows[a - 1]
-
-    def row_support(self, a: int) -> tuple[int, ...]:
-        return bits_to_vertices(self.rows[a - 1])
+def _lowest_difference(row_j: int, row_k: int, n: int) -> int:
+    diff = row_j ^ row_k
+    return (diff & -diff).bit_length() or n + 1
 
 
 def min1(b: ClosedNeighborhoodMatrix, j: int) -> int:
     """Smallest vertex in N(v_j); at most j since v_j covers itself."""
-    row = b.row(j)
-    return (row & -row).bit_length()
+    return _lowest_difference(b.row(j), 0, b.n)
 
 
 def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:
@@ -65,16 +51,13 @@ def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:
     """
     if j == k:
         raise ValueError(f"min2 requires distinct vertices, got j = k = {j}")
-    diff = b.row(j) ^ b.row(k)
-    if diff == 0:
-        return b.n + 1
-    return (diff & -diff).bit_length()
+    return _lowest_difference(b.row(j), b.row(k), b.n)
 
 
 def lex_code_dense(
     b: ClosedNeighborhoodMatrix,
     *,
-    observer: Callable[[DenseCoverageState], None] | None = None,
+    observer: Callable[[CoverageState], None] | None = None,
     tally: DenseWorkTally | None = None,
 ) -> RunOutcome:
     """Build the lexicographic code of the graph behind b, or report twins.
@@ -83,49 +66,32 @@ def lex_code_dense(
     the run stops at the first vertex j whose closed neighborhood duplicates
     an earlier k and returns TwinFailure(j, k).
 
-    observer, if given, receives a DenseCoverageState after every completed
-    step; tally, if given, accumulates the model bit-operation cost.
+    observer, if given, receives a CoverageState (rows as bitsets) after every
+    completed step; tally, if given, accumulates the model bit-operation cost.
     """
     n = b.n
-    rows_b = b._rows
+    rows_b = b._rows  # rows_b[0] = 0 is the empty row the scan's sentinel needs
     x = [0] * (n + 1)
-    code: list[int] = []
-    for j in range(1, n + 1):
-        xj = x[j]
-        l = 0
-        if xj == 0:
-            row = rows_b[j]
-            l = (row & -row).bit_length()
-            if tally is not None:
-                tally.row_comparison_bits += n  # zero test
-                tally.scan_bits += l
-        else:
-            # first k < j whose row matches; ties cannot occur since earlier
-            # rows are pairwise distinct
-            try:
-                k = x.index(xj, 1, j)
-            except ValueError:
-                k = j
-            if tally is not None:
-                tally.row_comparison_bits += n  # zero test
-                tally.row_comparison_bits += n * (k if k < j else j - 1)
-            if k < j:
-                diff = rows_b[j] ^ rows_b[k]
-                if diff == 0:
-                    if tally is not None:
-                        tally.scan_bits += n
-                    return TwinFailure(j=j, k=k)
-                l = (diff & -diff).bit_length()
-                if tally is not None:
-                    tally.scan_bits += l
+
+    def insert(l: int) -> None:
+        mask = 1 << (l - 1)
+        rows, cover = rows_b, x  # locals, not closure cells, in the hot loop
+        for a in range(1, n + 1):  # copy column l of the neighborhood matrix
+            if rows[a] & mask:
+                cover[a] |= mask
+
+    def charge(j: int, k: int, l: int) -> None:
+        # the zero test, then one whole-row comparison per earlier row tried
+        tally.row_comparison_bits += n * (1 + (k if k < j else j - 1))
         if l:
-            code.append(l)
-            mask = 1 << (l - 1)
-            for a in range(1, n + 1):  # copy column l of the neighborhood matrix
-                if rows_b[a] & mask:
-                    x[a] |= mask
-            if tally is not None:
-                tally.column_copy_bits += n
-        if observer is not None:
-            observer(DenseCoverageState(step=j, rows=tuple(x[1:]), code=tuple(sorted(code))))
-    return Code(tuple(sorted(code)))
+            tally.scan_bits += min(l, n)  # finding twins scans all n positions
+            tally.column_copy_bits += n if l <= n else 0
+
+    return lex_scan(
+        x,
+        lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
+        insert,
+        charge=None if tally is None else charge,
+        observer=observer,
+        freeze=int,
+    )

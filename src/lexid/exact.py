@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .graph import (
     Code,
@@ -16,6 +17,7 @@ from .graph import (
     RunOutcome,
     TwinFailure,
     TwinsError,
+    _identifies,
     bits_to_vertices,
     find_twins,
     is_identifying_code,
@@ -30,16 +32,6 @@ class MinimumResult:
 
     code: Code
     cardinality: int
-
-
-def _identifies(rows: tuple[int, ...], n: int, cmask: int) -> bool:
-    seen: set[int] = set()
-    for v in range(1, n + 1):
-        trace = rows[v] & cmask
-        if not trace or trace in seen:
-            return False
-        seen.add(trace)
-    return True
 
 
 def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResult:
@@ -73,7 +65,7 @@ def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResu
     raise AssertionError("unreachable: the full vertex set of a twin-free graph is identifying")
 
 
-def minimalize(g: Graph, code: Code) -> Code:
+def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     """Shrink an identifying code to a minimal one.
 
     Tries to delete members in increasing index order, keeping each deletion

@@ -8,12 +8,11 @@ stream documented in the README.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .graph import Graph
-from .rng import SplitMix64
-
-FAMILIES = ("path", "cycle", "grid", "gnp", "hypercube")
+from .rng import SplitMix64, derive_seed
 
 
 def path_graph(n: int) -> Graph:
@@ -82,36 +81,66 @@ def hypercube_graph(dim: int) -> Graph:
     return Graph(n, edges)
 
 
+def near_square_grid(n: int) -> tuple[int, int]:
+    """Factor n as rows x cols with rows the largest divisor at most sqrt(n)."""
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
+    rows = math.isqrt(n)
+    while n % rows:
+        rows -= 1
+    return rows, n // rows
+
+
+def _hypercube_dim(size: int) -> int:
+    dim = size.bit_length() - 1
+    if 1 << dim != size:
+        raise ValueError(f"hypercube size must be a power of two, got {size}")
+    return dim
+
+
+# family: (parameter types for gen, generator, generator arguments of the
+# bench instance for (size, seed, gnp_p))
+_FAMILY_TABLE = {
+    "path": ((int,), path_graph, lambda size, seed, p: (size,)),
+    "cycle": ((int,), cycle_graph, lambda size, seed, p: (size,)),
+    "grid": ((int, int), grid_graph, lambda size, seed, p: near_square_grid(size)),
+    "gnp": ((int, float), gnp_graph, lambda size, seed, p: (size, p, derive_seed(seed, size))),
+    "hypercube": ((int,), hypercube_graph, lambda size, seed, p: (_hypercube_dim(size),)),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+
+
+def _family(name: str) -> tuple:
+    if name not in _FAMILY_TABLE:
+        raise ValueError(f"unknown family {name!r}; choose from {', '.join(FAMILIES)}")
+    return _FAMILY_TABLE[name]
+
+
 def gen(family: str, params: Sequence, seed: int | None = None) -> Graph:
     """Dispatch on family name; params are positional family parameters.
 
     path n | cycle n | grid rows cols | gnp n p (seed required) | hypercube dim
     """
+    types, generator, _ = _family(family)
     params = tuple(params)
-    if family == "path":
-        (n,) = _arity(family, params, 1)
-        return path_graph(int(n))
-    if family == "cycle":
-        (n,) = _arity(family, params, 1)
-        return cycle_graph(int(n))
-    if family == "grid":
-        rows, cols = _arity(family, params, 2)
-        return grid_graph(int(rows), int(cols))
+    if len(params) != len(types):
+        raise ValueError(f"family {family!r} takes {len(types)} parameter(s), got {len(params)}")
+    args = [convert(value) for convert, value in zip(types, params)]
     if family == "gnp":
-        n, p = _arity(family, params, 2)
         if seed is None:
             raise ValueError("gnp requires a seed")
-        return gnp_graph(int(n), float(p), seed)
-    if family == "hypercube":
-        (dim,) = _arity(family, params, 1)
-        return hypercube_graph(int(dim))
-    raise ValueError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+        args.append(seed)
+    return generator(*args)
 
 
-def _arity(family: str, params: tuple, want: int) -> tuple:
-    if len(params) != want:
-        raise ValueError(f"family {family!r} takes {want} parameter(s), got {len(params)}")
-    return params
+def sized_instance(family: str, size: int, seed: int, gnp_p: float) -> Graph:
+    """The bench instance of a family for a requested vertex count.
+
+    grid is the near-square factorization of size, hypercube needs a power of
+    two, and gnp has edge probability gnp_p and seed derive_seed(seed, size).
+    """
+    _, generator, bench_args = _family(family)
+    return generator(*bench_args(size, seed, gnp_p))
 
 
 # 3x3 grid with a deliberately shuffled labeling: the lexicographic

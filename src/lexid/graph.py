@@ -86,14 +86,16 @@ class ClosedNeighborhoodMatrix:
     """Rows of the closed-neighborhood matrix (identity plus adjacency) as bitsets.
 
     Bit l-1 of row(j) is set iff v_l is in N(v_j); the diagonal is all ones and
-    the matrix is symmetric.  Rows are immutable once built.
+    the matrix is symmetric.  Rows are immutable once built.  The padding row
+    at index 0 must be 0, the empty neighborhood: the constructors' scan uses
+    it as the row of a vertex that covers nothing.
     """
 
     __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, rows: tuple[int, ...]) -> None:
         self.n = n
-        self._rows = rows  # index 0 unused
+        self._rows = rows  # rows[0] is the empty padding row
 
     def row(self, j: int) -> int:
         """Bitset of N(v_j)."""
@@ -116,13 +118,17 @@ class ClosedNeighborhoodMatrix:
 
 
 class NeighborhoodArray:
-    """Per-vertex sorted closed neighborhoods; entry j has length degree(v_j)+1."""
+    """Per-vertex sorted closed neighborhoods; entry j has length degree(v_j)+1.
+
+    The padding entry at index 0 must be (), the empty neighborhood: the
+    constructors' scan uses it as the list of a vertex that covers nothing.
+    """
 
     __slots__ = ("n", "_lists")
 
     def __init__(self, n: int, lists: tuple[tuple[int, ...], ...]) -> None:
         self.n = n
-        self._lists = lists  # index 0 unused
+        self._lists = lists  # lists[0] is the empty padding entry
 
     def neighborhood(self, j: int) -> tuple[int, ...]:
         """Ascending tuple of N(v_j)."""
@@ -217,15 +223,18 @@ def find_twins(g: Graph) -> tuple[int, int] | None:
 
 def is_identifying_code(g: Graph, code: Code | Iterable[int]) -> bool:
     """True iff all closed neighborhoods intersect the code in distinct, non-empty sets."""
-    members = tuple(code)
     cmask = 0
-    for v in members:
+    for v in code:
         if not 1 <= v <= g.n:
             raise ValueError(f"code member {v} out of range 1..{g.n}")
         cmask |= _bit(v)
-    rows = g.neighborhood_matrix._rows
+    return _identifies(g.neighborhood_matrix._rows, g.n, cmask)
+
+
+def _identifies(rows: Sequence[int], n: int, cmask: int) -> bool:
+    """True iff rows 1..n meet the bitset cmask in distinct, non-empty traces."""
     seen: set[int] = set()
-    for v in range(1, g.n + 1):
+    for v in range(1, n + 1):
         trace = rows[v] & cmask
         if not trace or trace in seen:
             return False
@@ -252,11 +261,3 @@ def bits_to_vertices(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
-
-
-def vertices_to_bits(vertices: Iterable[int]) -> int:
-    """Bitset of a vertex collection."""
-    mask = 0
-    for v in vertices:
-        mask |= _bit(v)
-    return mask

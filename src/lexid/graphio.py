@@ -33,6 +33,29 @@ def _parse_int(token: str, what: str, line: int) -> int:
         raise ParseError(f"expected integer {what}, got {token!r}", line) from None
 
 
+def _parse_counts(n_token: str, m_token: str, line: int) -> tuple[int, int]:
+    """Vertex and edge counts of a header line, checked for range."""
+    n = _parse_int(n_token, "vertex count", line)
+    m = _parse_int(m_token, "edge count", line)
+    if n < 1:
+        raise ParseError(f"vertex count must be >= 1, got {n}", line)
+    if m < 0:
+        raise ParseError(f"edge count must be >= 0, got {m}", line)
+    return n, m
+
+
+def _add_edge(edges: set[tuple[int, int]], u: int, v: int, n: int, line: int) -> None:
+    """Add edge {u, v} as (min, max), rejecting self-loops, range errors and duplicates."""
+    if u == v:
+        raise ParseError(f"self-loop at vertex {u}", line)
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError(f"edge ({u}, {v}) has an endpoint outside 1..{n}", line)
+    pair = (u, v) if u < v else (v, u)
+    if pair in edges:
+        raise ParseError(f"duplicate edge ({pair[0]}, {pair[1]})", line)
+    edges.add(pair)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list format: a "n m" header, then m lines "u v" with u < v.
 
@@ -49,12 +72,7 @@ def parse_edge_list(text: str) -> Graph:
         if not header_seen:
             if len(tokens) != 2:
                 raise ParseError(f"header must be 'n m', got {line!r}", number)
-            n = _parse_int(tokens[0], "vertex count", number)
-            m = _parse_int(tokens[1], "edge count", number)
-            if n < 1:
-                raise ParseError(f"vertex count must be >= 1, got {n}", number)
-            if m < 0:
-                raise ParseError(f"edge count must be >= 0, got {m}", number)
+            n, m = _parse_counts(tokens[0], tokens[1], number)
             header_seen = True
             continue
         if len(edges) == m:
@@ -63,15 +81,9 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"edge line must be 'u v', got {line!r}", number)
         u = _parse_int(tokens[0], "endpoint", number)
         v = _parse_int(tokens[1], "endpoint", number)
-        if u == v:
-            raise ParseError(f"self-loop at vertex {u}", number)
         if u > v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", number)
-        if not (1 <= u and v <= n):
-            raise ParseError(f"edge ({u}, {v}) has an endpoint outside 1..{n}", number)
-        if (u, v) in edges:
-            raise ParseError(f"duplicate edge ({u}, {v})", number)
-        edges.add((u, v))
+        _add_edge(edges, u, v, n, number)
     if not header_seen:
         raise ParseError("missing 'n m' header line")
     if len(edges) != m:
@@ -101,12 +113,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError("duplicate problem line", number)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"problem line must be 'p edge n m', got {line!r}", number)
-            n = _parse_int(tokens[2], "vertex count", number)
-            m = _parse_int(tokens[3], "edge count", number)
-            if n < 1:
-                raise ParseError(f"vertex count must be >= 1, got {n}", number)
-            if m < 0:
-                raise ParseError(f"edge count must be >= 0, got {m}", number)
+            n, m = _parse_counts(tokens[2], tokens[3], number)
             problem_seen = True
             continue
         if kind == "e":
@@ -116,14 +123,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"edge line must be 'e u v', got {line!r}", number)
             u = _parse_int(tokens[1], "endpoint", number)
             v = _parse_int(tokens[2], "endpoint", number)
-            if u == v:
-                raise ParseError(f"self-loop at vertex {u}", number)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"edge ({u}, {v}) has an endpoint outside 1..{n}", number)
-            pair = (u, v) if u < v else (v, u)
-            if pair in edges:
-                raise ParseError(f"duplicate edge ({pair[0]}, {pair[1]})", number)
-            edges.add(pair)
+            _add_edge(edges, u, v, n, number)
             continue
         raise ParseError(f"unknown line type {kind!r}", number)
     if not problem_seen:

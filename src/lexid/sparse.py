@@ -1,9 +1,8 @@
 """Lexicographic identifying-code construction over sorted adjacency lists.
 
-Behaviorally identical to the dense constructor on every input, but the
-coverage state is kept as one sorted list per vertex and inserting a codeword
-l only touches the degree(l)+1 lists of the vertices l covers, which is the
-saving on bounded-degree graphs.
+Coverage rows are sorted lists, so inserting codeword l only touches the
+degree(l)+1 lists of the vertices l covers, which is the saving over the
+bit-matrix constructor on bounded-degree graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import Code, NeighborhoodArray, RunOutcome, TwinFailure
+from .graph import NeighborhoodArray, RunOutcome
+from .scan import CoverageState, lex_scan
 
 
 @dataclass
@@ -40,21 +40,7 @@ class SparseWorkTally:
         )
 
 
-@dataclass(frozen=True)
-class SparseCoverageState:
-    """Snapshot of the per-vertex coverage lists after one step."""
-
-    step: int
-    rows: tuple[tuple[int, ...], ...]  # rows[a-1] is sorted N(v_a) ∩ C
-    code: tuple[int, ...]
-
-    def row(self, a: int) -> tuple[int, ...]:
-        return self.rows[a - 1]
-
-
-def _min3_walk(
-    lj: tuple[int, ...], lk: tuple[int, ...], n: int
-) -> tuple[int, int]:
+def _min3_walk(lj: tuple[int, ...], lk: tuple[int, ...], n: int) -> tuple[int, int]:
     """Return (result, positions walked) for the synchronized list walk.
 
     Walks the two sorted lists together and stops at the first divergence,
@@ -90,60 +76,40 @@ def min3(a: NeighborhoodArray, j: int, k: int) -> int:
 def lex_code_sparse(
     a: NeighborhoodArray,
     *,
-    observer: Callable[[SparseCoverageState], None] | None = None,
+    observer: Callable[[CoverageState], None] | None = None,
     tally: SparseWorkTally | None = None,
 ) -> RunOutcome:
     """Build the lexicographic code of the graph behind a, or report twins.
 
     Produces the same Code or TwinFailure as lex_code_dense on the same graph
-    and vertex order.  observer, if given, receives a SparseCoverageState
-    after every completed step; tally, if given, accumulates the model
-    element-touch cost.
+    and vertex order.  observer, if given, receives a CoverageState (rows as
+    sorted tuples) after every completed step; tally, if given, accumulates
+    the model element-touch cost.
     """
     n = a.n
-    lists = a._lists
-    x: list = [None] + [[] for _ in range(n)]
-    code: list[int] = []
-    for j in range(1, n + 1):
-        xj = x[j]
-        l = 0
-        if tally is not None:
-            tally.empty_check_touches += 1
-        if not xj:
-            l = lists[j][0]
-            if tally is not None:
-                tally.scan_touches += 1
-        else:
-            try:
-                k = x.index(xj, 1, j)
-            except ValueError:
-                k = j
-            if tally is not None:
-                lj = len(xj)
-                touches = 0
-                for kk in range(1, (k if k < j else j - 1) + 1):
-                    touches += 1
-                    if len(x[kk]) == lj:
-                        touches += lj
-                tally.comparison_touches += touches
-            if k < j:
-                l, walked = _min3_walk(lists[j], lists[k], n)
-                if tally is not None:
-                    tally.scan_touches += 2 * walked
-                if l == n + 1:
-                    return TwinFailure(j=j, k=k)
+    lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
+    # lists, not tuples: list == rejects on length before walking elements
+    x: list[list[int]] = [[] for _ in range(n + 1)]
+
+    def insert(l: int) -> None:
+        for v in lists[l]:  # only the lists of vertices covered by l change
+            insort(x[v], l)
+
+    def charge(j: int, k: int, l: int) -> None:
+        tally.empty_check_touches += 1
+        # one length check per earlier row tried, plus an element walk on a tie
+        tried = k if k < j else j - 1
+        lj = len(x[j])
+        tally.comparison_touches += tried + lj * list(map(len, x[1 : tried + 1])).count(lj)
         if l:
-            code.append(l)
-            for v in lists[l]:  # only the lists of vertices covered by l change
-                insort(x[v], l)
-            if tally is not None:
-                tally.insert_touches += len(lists[l])
-        if observer is not None:
-            observer(
-                SparseCoverageState(
-                    step=j,
-                    rows=tuple(tuple(row) for row in x[1:]),
-                    code=tuple(sorted(code)),
-                )
-            )
-    return Code(tuple(sorted(code)))
+            # reading the head of N(v_j) for an uncovered vertex (k = 0) is one touch
+            tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
+            tally.insert_touches += len(lists[l]) if l <= n else 0
+
+    return lex_scan(
+        x,
+        lambda j, k: _min3_walk(lists[j], lists[k], n)[0],
+        insert,
+        charge=None if tally is None else charge,
+        observer=observer,
+    )

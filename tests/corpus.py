@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
+
+from hypothesis import strategies as st
 
 from lexid import Graph, cycle_graph, derive_seed, find_twins, gnp_graph, grid_graph, path_graph
 
@@ -68,3 +71,12 @@ def twin_free_corpus(count: int = 200, max_n: int = 32) -> tuple[Graph, ...]:
             graphs.append(g)
         attempt += 1
     return tuple(graphs)
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    """Hypothesis strategy: any simple graph on 1..n vertices, n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, edges)

@@ -50,3 +50,28 @@ def brute_minimum_cardinality(g: Graph) -> int:
             if brute_is_identifying(g, combo):
                 return size
     raise AssertionError("graph has twins; no identifying code exists")
+
+
+def brute_lex_code(g: Graph):
+    """The paper's lexicographic construction, straight from its definition.
+
+    Scans j = 1..n with C the code so far: when N(v_j) ∩ C is empty, adds
+    min N(v_j); when it equals N(v_k) ∩ C for some k < j, adds
+    min(N(v_j) Δ N(v_k)), or stops with the twin pair when that difference is
+    empty.  Returns ("code", members) or ("twins", j, k).
+    """
+    nbhd = neighborhood_sets(g)
+    code: set[int] = set()
+    for j in range(1, g.n + 1):
+        trace = nbhd[j] & code
+        if not trace:
+            code.add(min(nbhd[j]))
+            continue
+        k = next((k for k in range(1, j) if nbhd[k] & code == trace), None)
+        if k is None:
+            continue
+        diff = nbhd[j] ^ nbhd[k]
+        if not diff:
+            return ("twins", j, k)
+        code.add(min(diff))
+    return ("code", tuple(sorted(code)))

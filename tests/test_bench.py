@@ -13,6 +13,10 @@ class TestHelpers:
         assert near_square_grid(300) == (15, 20)
         assert near_square_grid(7) == (1, 7)
 
+    def test_near_square_grid_rejects_empty(self):
+        with pytest.raises(ValueError, match="grid size must be >= 1, got 0"):
+            near_square_grid(0)
+
     def test_fit_loglog_slope_exact(self):
         cubic = [(float(n), float(n) ** 3) for n in (64, 128, 256)]
         assert fit_loglog_slope(cubic) == pytest.approx(3.0)
@@ -54,6 +58,12 @@ class TestBench:
         report = bench(["hypercube"], [8, 12], repetitions=1, seed=0)
         assert {s.n for s in report.samples} == {8}
         assert any(fam == "hypercube" and size == 12 for fam, size, _ in report.skipped)
+
+    def test_zero_size_skipped(self):
+        report = bench(["grid", "path"], [0, 16], repetitions=1, seed=0)
+        assert {s.n for s in report.samples} == {16}
+        assert ("grid", 0, "grid size must be >= 1, got 0") in report.skipped
+        assert any(fam == "path" and size == 0 for fam, size, _ in report.skipped)
 
     def test_gnp_family_runs(self):
         report = bench(["gnp"], [24], repetitions=1, seed=5, gnp_p=0.4)

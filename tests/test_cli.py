@@ -238,18 +238,38 @@ class TestBenchCommand:
 
     def test_unknown_family(self, capsys):
         assert main(["bench", "--families", "torus", "--sizes", "16"]) == 1
+        assert capsys.readouterr().err == (
+            "lexid: error: unknown bench family 'torus'; "
+            "choose from path, cycle, grid, gnp, hypercube\n"
+        )
+
+    def test_zero_size_is_a_skipped_row(self, capsys):
+        assert main(["bench", "--sizes", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "record,family,n,max_degree,algorithm,median_seconds,work_units,value",
+            'skipped,grid,0,,,,,"grid size must be >= 1, got 0"',
+        ]
 
 
 class TestBrokenPipe:
     def test_early_closed_pipe_is_quiet(self, fixture_file):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import lexid
+
+        # the child imports the same lexid as this process, installed or not
+        package_root = str(Path(lexid.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             f"{sys.executable} -m lexid.cli restarts --restarts 50 --seed 1 {fixture_file} | head -1",
             shell=True,
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0  # head's status
         assert "Broken pipe" not in result.stderr

@@ -17,15 +17,8 @@ from lexid import (
     permute,
 )
 
+from corpus import graphs
 from oracles import brute_find_twins, brute_is_identifying, neighborhood_sets
-
-
-@st.composite
-def graphs(draw, max_n=10):
-    n = draw(st.integers(1, max_n))
-    pairs = list(combinations(range(1, n + 1), 2))
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return Graph(n, edges)
 
 
 class TestGraphConstruction:

@@ -94,6 +94,28 @@ class TestParseDimacs:
             parse_dimacs("p edge 3 2\ne 1 2\ne 2 1")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0 0", "line 1: vertex count must be >= 1, got 0"),
+        ("3 -1", "line 1: edge count must be >= 0, got -1"),
+        ("3 1\n\n2 2", "line 3: self-loop at vertex 2"),
+        ("3 1\n1 4", "line 2: edge (1, 4) has an endpoint outside 1..3"),
+        ("3 1\n0 2", "line 2: edge (0, 2) has an endpoint outside 1..3"),
+        ("3 2\n1 2\n1 2", "line 3: duplicate edge (1, 2)"),
+        ("p edge 0 0", "line 1: vertex count must be >= 1, got 0"),
+        ("p edge 3 -1", "line 1: edge count must be >= 0, got -1"),
+        ("c x\np edge 3 1\ne 2 2", "line 3: self-loop at vertex 2"),
+        ("p edge 3 1\ne 4 1", "line 2: edge (4, 1) has an endpoint outside 1..3"),
+        ("p edge 3 2\ne 1 2\ne 2 1", "line 3: duplicate edge (1, 2)"),
+    ],
+)
+def test_shared_checks_report_exact_message_and_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
 class TestRoundTrip:
     def test_both_formats_on_corpus_sample(self):
         for g in small_corpus()[:40]:

@@ -1,0 +1,33 @@
+"""Both constructors against the independent reference construction."""
+
+from hypothesis import given, settings
+
+from lexid import Code, lex_code_dense, lex_code_sparse
+
+from corpus import graphs, small_corpus
+from oracles import brute_lex_code
+
+
+def tagged(outcome):
+    if isinstance(outcome, Code):
+        return ("code", outcome.members)
+    return ("twins", outcome.j, outcome.k)
+
+
+def assert_agree(g):
+    expected = brute_lex_code(g)
+    assert tagged(lex_code_dense(g.neighborhood_matrix)) == expected
+    assert tagged(lex_code_sparse(g.neighborhood_array)) == expected
+
+
+@given(graphs(max_n=14))
+@settings(max_examples=300)
+def test_dense_sparse_and_reference_agree(g):
+    assert_agree(g)
+
+
+def test_agree_on_small_corpus_including_twins():
+    corpus = small_corpus()
+    assert any(brute_lex_code(g)[0] == "twins" for g in corpus)
+    for g in corpus:
+        assert_agree(g)
