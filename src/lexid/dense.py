@@ -1,8 +1,9 @@
 """Lexicographic identifying-code construction over the bit-matrix view.
 
-Coverage rows are bitsets, so the scan's row comparisons are integer
-comparisons; inserting codeword l copies column l of the neighborhood matrix,
-which touches every row.
+Coverage rows are bitsets, so the scan's row keys are integers.  Inserting
+codeword l sets bit l-1 in the rows of the vertices l covers, which are the
+members of row l since the matrix is symmetric; the model tally still charges
+the paper's copy of a whole matrix column.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import ClosedNeighborhoodMatrix, RunOutcome
+from .graph import ClosedNeighborhoodMatrix, RunOutcome, bits_to_vertices
 from .scan import CoverageState, lex_scan
 
 
@@ -18,10 +19,10 @@ from .scan import CoverageState, lex_scan
 class DenseWorkTally:
     """Model cost of one dense run, in single-bit operations.
 
-    Whole-row tests (the zero test and each row-equality test in the search
-    for k) are charged the full row width n, regardless of how the comparison
-    is realized; min1/min2 charge one unit per position scanned; inserting a
-    codeword charges n for copying one matrix column.
+    Whole-row tests (the zero test and each row-equality test of the paper's
+    linear search for k) are charged the full row width n, whatever search
+    the code runs; min1/min2 charge one unit per position scanned; inserting
+    a codeword charges n for copying one matrix column.
     """
 
     row_comparison_bits: int = 0
@@ -73,13 +74,6 @@ def lex_code_dense(
     rows_b = b._rows  # rows_b[0] = 0 is the empty row the scan's sentinel needs
     x = [0] * (n + 1)
 
-    def insert(l: int) -> None:
-        mask = 1 << (l - 1)
-        rows, cover = rows_b, x  # locals, not closure cells, in the hot loop
-        for a in range(1, n + 1):  # copy column l of the neighborhood matrix
-            if rows[a] & mask:
-                cover[a] |= mask
-
     def charge(j: int, k: int, l: int) -> None:
         # the zero test, then one whole-row comparison per earlier row tried
         tally.row_comparison_bits += n * (1 + (k if k < j else j - 1))
@@ -90,8 +84,9 @@ def lex_code_dense(
     return lex_scan(
         x,
         lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
-        insert,
+        # supports are listed per codeword: a list for every row would cost memory
+        lambda l: bits_to_vertices(rows_b[l]),
+        lambda row, l: row | 1 << (l - 1),
         charge=None if tally is None else charge,
         observer=observer,
-        freeze=int,
     )

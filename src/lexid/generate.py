@@ -93,7 +93,7 @@ def near_square_grid(n: int) -> tuple[int, int]:
 
 def _hypercube_dim(size: int) -> int:
     dim = size.bit_length() - 1
-    if 1 << dim != size:
+    if size < 1 or 1 << dim != size:
         raise ValueError(f"hypercube size must be a power of two, got {size}")
     return dim
 

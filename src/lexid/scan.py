@@ -1,19 +1,22 @@
 """The lexicographic scan shared by the dense and sparse constructors.
 
-Both constructors keep one coverage row per vertex, the row of v_a standing
-for N(v_a) ∩ C, and scan the vertices in index order.  At step j the scan
-looks for the first k < j whose row equals row j.  Row 0 is a permanently
-empty sentinel, so k = 0 means v_j is not covered yet; any other k means v_j
-is not separated from v_k.  Either way the smallest vertex of
-N(v_j) Δ N(v_k) becomes a codeword (the empty N(v_0) makes that min N(v_j)),
-and an empty difference means j and k are twins.  Only the row representation
-differs between the constructors, so it is all they supply.
+Both constructors keep one immutable coverage row per vertex, the row of v_a
+standing for N(v_a) ∩ C, and scan the vertices in index order.  At step j a
+dict from each of rows 0..j-1 to its vertex finds the k < j whose row equals
+row j.  Those rows are pairwise distinct: each step separates its row from
+the earlier ones, and a new codeword is in no row before it is inserted, so
+adding it keeps them distinct.  Row 0 is a permanently empty sentinel, so
+k = 0 means v_j is not covered yet; any other k means v_j is not separated
+from v_k.  Either way the smallest vertex of N(v_j) Δ N(v_k) becomes a
+codeword (the empty N(v_0) makes that min N(v_j)), and an empty difference
+means j and k are twins.  Only the row representation differs between the
+constructors, so it is all they supply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable, Hashable, Iterable
 
 from .graph import Code, RunOutcome, TwinFailure
 
@@ -33,31 +36,27 @@ class CoverageState:
 def lex_scan(
     x: list,
     separate: Callable[[int, int], int],
-    insert: Callable[[int], None],
+    covered: Callable[[int], Iterable[int]],
+    add: Callable[[Hashable, int], Hashable],
     *,
     charge: Callable[[int, int, int], None] | None = None,
     observer: Callable[[CoverageState], None] | None = None,
-    freeze: Callable[[Any], Any] = tuple,
 ) -> RunOutcome:
-    """Run the scan over coverage rows x[0..n], where x[0] stays empty.
+    """Run the scan over immutable coverage rows x[0..n], where x[0] stays empty.
 
     separate(j, k) returns the smallest vertex covering exactly one of v_j
-    and v_k, or n+1 when there is none; insert(l) adds codeword l to the rows
-    it covers.  charge(j, k, l), if given, sees every step before its
-    insertion: k is the matching earlier row (j when there is none) and l the
-    vertex chosen (0 when none).  observer, if given, receives a
-    CoverageState after every completed step, each row passed through freeze
-    to detach it from the mutable state.
+    and v_k, or n+1 when there is none; covered(l) lists the vertices 1..n
+    that codeword l covers, and add(row, l) returns row with l added.
+    charge(j, k, l), if given, sees every step before its insertion: k is the
+    matching earlier row (j when there is none) and l the vertex chosen (0
+    when none).  observer, if given, receives a CoverageState after every
+    completed step.
     """
     n = len(x) - 1
-    index = x.index
+    index = {x[0]: 0}  # row -> vertex, for the distinct rows 0..j-1
     code: list[int] = []
     for j in range(1, n + 1):
-        # earlier rows are pairwise distinct and non-empty, so k is unique
-        try:
-            k = index(x[j], 0, j)
-        except ValueError:
-            k = j
+        k = index.get(x[j], j)
         l = separate(j, k) if k < j else 0
         if charge is not None:
             charge(j, k, l)
@@ -65,7 +64,12 @@ def lex_scan(
             return TwinFailure(j=j, k=k)
         if l:
             code.append(l)
-            insert(l)
+            for a in covered(l):
+                row = x[a]
+                x[a] = new = add(row, l)
+                if a < j:  # rows from j on are not indexed yet
+                    index[new] = index.pop(row)
+        index[x[j]] = j
         if observer is not None:
-            observer(CoverageState(j, tuple(map(freeze, x[1:])), tuple(sorted(code))))
+            observer(CoverageState(j, tuple(x[1:]), tuple(sorted(code))))
     return Code(tuple(sorted(code)))

@@ -1,13 +1,13 @@
 """Lexicographic identifying-code construction over sorted adjacency lists.
 
-Coverage rows are sorted lists, so inserting codeword l only touches the
-degree(l)+1 lists of the vertices l covers, which is the saving over the
+Coverage rows are sorted tuples, so inserting codeword l only rebuilds the
+degree(l)+1 rows of the vertices l covers, which is the saving over the
 bit-matrix constructor on bounded-degree graphs.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,10 +19,10 @@ from .scan import CoverageState, lex_scan
 class SparseWorkTally:
     """Model cost of one sparse run, in list-element touches.
 
-    Each row comparison in the search for k charges one touch for the length
-    check plus, when the lengths tie, the common length for the element walk;
-    the empty test charges one; min3 charges two per position walked; and
-    inserting codeword l charges one per updated list.
+    Each row comparison in the paper's linear search for k charges one touch
+    for the length check plus, when the lengths tie, the common length for
+    the element walk; the empty test charges one; min3 charges two per
+    position walked; and inserting codeword l charges one per updated list.
     """
 
     comparison_touches: int = 0
@@ -88,12 +88,11 @@ def lex_code_sparse(
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
-    # lists, not tuples: list == rejects on length before walking elements
-    x: list[list[int]] = [[] for _ in range(n + 1)]
+    x: list[tuple[int, ...]] = [()] * (n + 1)
 
-    def insert(l: int) -> None:
-        for v in lists[l]:  # only the lists of vertices covered by l change
-            insort(x[v], l)
+    def add(row: tuple[int, ...], l: int) -> tuple[int, ...]:
+        i = bisect(row, l)
+        return row[:i] + (l,) + row[i:]
 
     def charge(j: int, k: int, l: int) -> None:
         tally.empty_check_touches += 1
@@ -109,7 +108,8 @@ def lex_code_sparse(
     return lex_scan(
         x,
         lambda j, k: _min3_walk(lists[j], lists[k], n)[0],
-        insert,
+        lists.__getitem__,
+        add,
         charge=None if tally is None else charge,
         observer=observer,
     )

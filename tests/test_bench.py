@@ -60,9 +60,10 @@ class TestBench:
         assert any(fam == "hypercube" and size == 12 for fam, size, _ in report.skipped)
 
     def test_zero_size_skipped(self):
-        report = bench(["grid", "path"], [0, 16], repetitions=1, seed=0)
+        report = bench(["grid", "path", "hypercube"], [0, 16], repetitions=1, seed=0)
         assert {s.n for s in report.samples} == {16}
         assert ("grid", 0, "grid size must be >= 1, got 0") in report.skipped
+        assert ("hypercube", 0, "hypercube size must be a power of two, got 0") in report.skipped
         assert any(fam == "path" and size == 0 for fam, size, _ in report.skipped)
 
     def test_gnp_family_runs(self):

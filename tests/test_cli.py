@@ -249,6 +249,11 @@ class TestBenchCommand:
             "record,family,n,max_degree,algorithm,median_seconds,work_units,value",
             'skipped,grid,0,,,,,"grid size must be >= 1, got 0"',
         ]
+        assert main(["bench", "--families", "hypercube", "--sizes", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "record,family,n,max_degree,algorithm,median_seconds,work_units,value",
+            'skipped,hypercube,0,,,,,"hypercube size must be a power of two, got 0"',
+        ]
 
 
 class TestBrokenPipe:

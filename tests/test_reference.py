@@ -2,7 +2,15 @@
 
 from hypothesis import given, settings
 
-from lexid import Code, lex_code_dense, lex_code_sparse
+from lexid import (
+    Code,
+    SplitMix64,
+    apply_sequence,
+    gnp_graph,
+    grid_graph,
+    lex_code_dense,
+    lex_code_sparse,
+)
 
 from corpus import graphs, small_corpus
 from oracles import brute_lex_code
@@ -30,4 +38,16 @@ def test_agree_on_small_corpus_including_twins():
     corpus = small_corpus()
     assert any(brute_lex_code(g)[0] == "twins" for g in corpus)
     for g in corpus:
+        assert_agree(g)
+
+
+def test_agree_at_scale():
+    # each codeword re-keys the indexed rows it covers: up to 23 in one
+    # insertion on the gnp graph, far more than on the small graphs above
+    sequence = list(range(1, 1601))
+    SplitMix64(7).shuffle(sequence)
+    grid = apply_sequence(grid_graph(40, 40), sequence)
+    gnp = gnp_graph(400, 0.05, 11)
+    for g in (grid, gnp):
+        assert brute_lex_code(g)[0] == "code"
         assert_agree(g)

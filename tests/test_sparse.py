@@ -1,3 +1,5 @@
+from copy import deepcopy
+
 import pytest
 
 from lexid import (
@@ -89,6 +91,18 @@ class TestLexCodeSparse:
         assert lex_code_sparse(g.neighborhood_array, tally=t2) == plain
         assert t1 == t2
         assert t1.total > 0
+
+    def test_observer_snapshots_stay_detached_from_the_run(self):
+        # a snapshot taken at step j still holds step j's rows after the run
+        g = nonminimal_grid_fixture()
+        for construct, view in (
+            (lex_code_sparse, g.neighborhood_array),
+            (lex_code_dense, g.neighborhood_matrix),
+        ):
+            pairs = []
+            construct(view, observer=lambda state: pairs.append((state, deepcopy(state))))
+            assert len(pairs) == g.n
+            assert all(state == copy for state, copy in pairs)
 
     def test_insertion_touches_only_neighbor_lists(self):
         # between consecutive steps, a row may change only if the vertex is
