@@ -329,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"lexid: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print("lexid: error: out of memory", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

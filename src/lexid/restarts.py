@@ -1,7 +1,7 @@
 """Random-restart search for small identifying codes.
 
-Each restart reorders the vertices, runs the sparse constructor on the
-relabeled graph, and maps the code back to original labels.  Restart i draws
+Each restart relabels the neighborhood array to a new vertex order (no new
+Graph), runs the sparse constructor and maps the code back.  Restart i draws
 its ordering from a generator seeded with derive_seed(seed, i), so reports
 are reproducible and the first r restarts never depend on the total count.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import Code, Graph, TwinsError, find_twins
-from .orderings import OrderingStrategy, apply_sequence, as_strategy, code_to_original
+from .orderings import OrderingStrategy, as_strategy, code_to_original
 from .rng import SplitMix64, derive_seed
 from .sparse import lex_code_sparse
 
@@ -51,12 +51,12 @@ def run_restarts(
     cardinalities: list[int] = []
     seeds: list[int] = []
     elapsed: list[float] = []
+    array = g.neighborhood_array
     for i in range(restarts):
         restart_seed = derive_seed(seed, i)
         start = time.perf_counter()
         sequence = strategy.sequence_for(g, SplitMix64(restart_seed))
-        relabeled = apply_sequence(g, sequence)
-        outcome = lex_code_sparse(relabeled.neighborhood_array)
+        outcome = lex_code_sparse(array.relabel(sequence))
         assert isinstance(outcome, Code)  # twin-freeness is permutation-invariant
         code = code_to_original(outcome, sequence)
         elapsed.append(time.perf_counter() - start)

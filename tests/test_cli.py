@@ -297,3 +297,13 @@ class TestUsageErrors:
 
     def test_explicit_ordering_without_perm(self, p3_file):
         assert main(["code", "--ordering", "explicit", p3_file]) == 1
+
+    def test_out_of_memory_is_a_clean_exit_one(self, p3_file, capsys, monkeypatch):
+        def exhausted(text, fmt):
+            raise MemoryError
+
+        monkeypatch.setattr("lexid.cli.parse_graph", exhausted)
+        assert main(["code", p3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lexid: error: out of memory\n"

@@ -2,12 +2,14 @@ import pytest
 
 from lexid import (
     Code,
+    Graph,
     OrderingStrategy,
     SplitMix64,
     TwinsError,
     apply_sequence,
     code_to_original,
     derive_seed,
+    gnp_graph,
     inverse_permutation,
     is_identifying_code,
     lex_code_dense,
@@ -15,7 +17,6 @@ from lexid import (
     nonminimal_grid_fixture,
     path_graph,
     permutation_from_sequence,
-    permute,
     prefix_permutation,
     run_restarts,
 )
@@ -162,7 +163,25 @@ class TestRunRestarts:
         assert isinstance(expected, Code)
 
     def test_permuted_runs_agree_with_direct_permute(self):
-        g = twin_free_corpus()[0]
-        p = prefix_permutation(g, [g.n])
-        direct = lex_code_sparse(permute(g, p).neighborhood_array)
-        assert direct.cardinality <= g.n
+        for i, g in enumerate(twin_free_corpus()[::20]):
+            seq = OrderingStrategy("random").sequence_for(g, SplitMix64(i))
+            report = run_restarts(g, seq, restarts=1)
+            direct = lex_code_sparse(apply_sequence(g, seq).neighborhood_array)
+            assert report.best_code == code_to_original(direct, seq)
+            assert report.cardinalities == (direct.cardinality,)
+
+    def test_restarts_build_no_graph(self, monkeypatch):
+        g = gnp_graph(64, 0.1, 7)
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        report = run_restarts(g, "random", restarts=50)
+        assert len(report.cardinalities) == 50
+        assert built == []
+        apply_sequence(g, list(range(1, g.n + 1)))  # the counter does see a rebuild
+        assert len(built) == 1
