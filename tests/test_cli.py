@@ -98,6 +98,15 @@ class TestCodeCommand:
         assert main(["code", str(path)]) == 1
         assert "self-loop" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["3 2\n1 2\n1 2\n", "p edge 3 2\ne 1 2\ne 2 1\n"])
+    def test_duplicate_edge_message_and_exit(self, tmp_path, capsys, text):
+        path = tmp_path / "dup.txt"
+        path.write_text(text)
+        assert main(["code", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lexid: parse error: line 3: duplicate edge (1, 2)\n"
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["code", "/nonexistent/graph.txt"]) == 1
 

@@ -116,6 +116,27 @@ def test_shared_checks_report_exact_message_and_line(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 3\n1 2\n1 2\nx y", "line 3: duplicate edge (1, 2)"),
+        ("3 1\n1 1\n2 3", "line 2: self-loop at vertex 1"),
+        ("p edge 3 2\ne 1 1\nq", "line 2: self-loop at vertex 1"),
+        ("3 2\n1 2\n# tail\n", "line 2: header declares 2 edges but 1 found"),
+        ("p edge 3 2\ne 1 2\nc tail", "line 3: problem line declares 2 edges but 1 found"),
+        ("3 1", "line 1: header declares 1 edges but 0 found"),
+    ],
+)
+def test_first_fault_in_file_order_and_count_mismatch_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph(text)
+    assert str(info.value) == message
+
+
+def test_cr_only_line_endings():
+    assert parse_edge_list("3 2\r1 2\r2 3\r") == path_graph(3)
+
+
 class TestRoundTrip:
     def test_both_formats_on_corpus_sample(self):
         for g in small_corpus()[:40]:
