@@ -20,19 +20,22 @@ class Graph:
     """Undirected simple graph on vertices 1..n.
 
     Edges are stored canonically as a frozenset of (u, v) pairs with u < v.
-    The constructor accepts any iterable of pairs and rejects self-loops,
-    out-of-range endpoints, and duplicate edges (in either orientation).
+    The constructor accepts any iterable of pairs of `int` (a `bool` is not a
+    vertex) and rejects self-loops, out-of-range endpoints, and duplicate edges
+    (in either orientation). It is the package's only edge validator: it draws
+    one pair at a time, so the parsers stream their edges into it and the first
+    fault in file order is the one reported.
     """
 
     n: int
     edges: frozenset[tuple[int, int]]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         canonical: set[tuple[int, int]] = set()
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")

@@ -1,11 +1,13 @@
 """Reading and writing graphs as plain edge lists or DIMACS files.
 
-Both formats are UTF-8 text, tolerate LF or CRLF, and use 1-indexed vertices.
-The order of edge lines never affects algorithm behavior; only vertex indices
-define the processing order.
+Both formats are UTF-8 text, break lines at LF, CRLF or CR, and use 1-indexed
+vertices. The order of edge lines never affects algorithm behavior; only vertex
+indices define the processing order.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from .graph import Graph
 
@@ -18,12 +20,23 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _data_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield number, stripped
+class _Lines:
+    """Numbered significant lines of a text, skipping blank lines and '#' comments.
+
+    Lines break only at LF, CRLF and CR. All iterators share one position, and
+    `number` is the line last drawn.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.number = 0
+        self._raw = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
+
+    def __iter__(self) -> Iterator[tuple[int, str]]:
+        for number, raw in self._raw:
+            stripped = raw.strip()
+            if stripped and not stripped.startswith("#"):
+                self.number = number
+                yield number, stripped
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -44,16 +57,21 @@ def _parse_counts(n_token: str, m_token: str, line: int) -> tuple[int, int]:
     return n, m
 
 
-def _add_edge(edges: set[tuple[int, int]], u: int, v: int, n: int, line: int) -> None:
-    """Add edge {u, v} as (min, max), rejecting self-loops, range errors and duplicates."""
-    if u == v:
-        raise ParseError(f"self-loop at vertex {u}", line)
-    if not (1 <= u <= n and 1 <= v <= n):
-        raise ParseError(f"edge ({u}, {v}) has an endpoint outside 1..{n}", line)
-    pair = (u, v) if u < v else (v, u)
-    if pair in edges:
-        raise ParseError(f"duplicate edge ({pair[0]}, {pair[1]})", line)
-    edges.add(pair)
+def _graph(n: int, m: int, edges: Iterator[tuple[int, int]], lines: _Lines, header: str) -> Graph:
+    """Graph(n, edges), which must have the m edges its header declares.
+
+    Graph checks the edge rules as it draws each edge, so its ValueError is
+    re-raised at the line just drawn; a ParseError from `edges` passes through.
+    """
+    try:
+        g = Graph(n, edges)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), lines.number) from None
+    if len(g.edges) != m:
+        raise ParseError(f"{header} declares {m} edges but {len(g.edges)} found", lines.number)
+    return g
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -61,34 +79,29 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are ignored anywhere.
     """
-    n = -1
-    m = -1
-    header_seen = False
-    edges: set[tuple[int, int]] = set()
-    last_line = 0
-    for number, line in _data_lines(text):
-        last_line = number
-        tokens = line.split()
-        if not header_seen:
-            if len(tokens) != 2:
-                raise ParseError(f"header must be 'n m', got {line!r}", number)
-            n, m = _parse_counts(tokens[0], tokens[1], number)
-            header_seen = True
-            continue
-        if len(edges) == m:
+    lines = _Lines(text)
+    number, line = next(iter(lines), (0, ""))
+    if not line:
+        raise ParseError("missing 'n m' header line")
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ParseError(f"header must be 'n m', got {line!r}", number)
+    n, m = _parse_counts(tokens[0], tokens[1], number)
+    return _graph(n, m, _edge_list_edges(lines, m), lines, "header")
+
+
+def _edge_list_edges(lines: _Lines, m: int) -> Iterator[tuple[int, int]]:
+    for count, (number, line) in enumerate(lines):
+        if count == m:
             raise ParseError(f"unexpected extra line after {m} edges: {line!r}", number)
+        tokens = line.split()
         if len(tokens) != 2:
             raise ParseError(f"edge line must be 'u v', got {line!r}", number)
         u = _parse_int(tokens[0], "endpoint", number)
         v = _parse_int(tokens[1], "endpoint", number)
         if u > v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", number)
-        _add_edge(edges, u, v, n, number)
-    if not header_seen:
-        raise ParseError("missing 'n m' header line")
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges but {len(edges)} found", last_line)
-    return Graph(n, edges)
+        yield u, v
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -97,40 +110,38 @@ def parse_dimacs(text: str) -> Graph:
     Edge endpoints may appear in either order; duplicates (in any orientation)
     and self-loops are rejected.
     """
-    n = -1
-    m = -1
-    problem_seen = False
-    edges: set[tuple[int, int]] = set()
-    last_line = 0
-    for number, line in _data_lines(text):
-        last_line = number
+    lines = _Lines(text)
+    for number, line in lines:
+        tokens = line.split()
+        if tokens[0] != "c":
+            break
+    else:
+        raise ParseError("missing 'p edge n m' problem line")
+    if tokens[0] == "e":
+        raise ParseError("edge line before problem line", number)
+    if tokens[0] != "p":
+        raise ParseError(f"unknown line type {tokens[0]!r}", number)
+    if len(tokens) != 4 or tokens[1] != "edge":
+        raise ParseError(f"problem line must be 'p edge n m', got {line!r}", number)
+    n, m = _parse_counts(tokens[2], tokens[3], number)
+    return _graph(n, m, _dimacs_edges(lines), lines, "problem line")
+
+
+def _dimacs_edges(lines: _Lines) -> Iterator[tuple[int, int]]:
+    for number, line in lines:
         tokens = line.split()
         kind = tokens[0]
         if kind == "c":
             continue
         if kind == "p":
-            if problem_seen:
-                raise ParseError("duplicate problem line", number)
-            if len(tokens) != 4 or tokens[1] != "edge":
-                raise ParseError(f"problem line must be 'p edge n m', got {line!r}", number)
-            n, m = _parse_counts(tokens[2], tokens[3], number)
-            problem_seen = True
-            continue
-        if kind == "e":
-            if not problem_seen:
-                raise ParseError("edge line before problem line", number)
-            if len(tokens) != 3:
-                raise ParseError(f"edge line must be 'e u v', got {line!r}", number)
-            u = _parse_int(tokens[1], "endpoint", number)
-            v = _parse_int(tokens[2], "endpoint", number)
-            _add_edge(edges, u, v, n, number)
-            continue
-        raise ParseError(f"unknown line type {kind!r}", number)
-    if not problem_seen:
-        raise ParseError("missing 'p edge n m' problem line")
-    if len(edges) != m:
-        raise ParseError(f"problem line declares {m} edges but {len(edges)} found", last_line)
-    return Graph(n, edges)
+            raise ParseError("duplicate problem line", number)
+        if kind != "e":
+            raise ParseError(f"unknown line type {kind!r}", number)
+        if len(tokens) != 3:
+            raise ParseError(f"edge line must be 'e u v', got {line!r}", number)
+        u = _parse_int(tokens[1], "endpoint", number)
+        v = _parse_int(tokens[2], "endpoint", number)
+        yield u, v
 
 
 def to_edge_list(g: Graph) -> str:
@@ -149,7 +160,7 @@ def to_dimacs(g: Graph) -> str:
 
 def detect_format(text: str) -> str:
     """Guess 'dimacs' or 'edgelist' from the first significant line."""
-    for _, line in _data_lines(text):
+    for _, line in _Lines(text):
         first = line.split()[0]
         return "dimacs" if first in ("c", "p", "e") else "edgelist"
     return "edgelist"

@@ -39,6 +39,19 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(0)
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (True, (), "vertex count must be a positive integer, got True"),
+            (3, [(True, 2)], "edge endpoints must be integers, got (True, 2)"),
+            (3, [(1, 2), (2, False)], "edge endpoints must be integers, got (2, False)"),
+        ],
+    )
+    def test_rejects_bool(self, n, edges, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, edges)
+        assert str(info.value) == message
+
     def test_single_vertex_is_legal(self):
         g = Graph(1)
         assert g.n == 1 and not g.edges

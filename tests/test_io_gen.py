@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lexid.graphio
 from lexid import (
     Graph,
     ParseError,
@@ -135,6 +138,94 @@ def test_first_fault_in_file_order_and_count_mismatch_line(text, message):
 
 def test_cr_only_line_endings():
     assert parse_edge_list("3 2\r1 2\r2 3\r") == path_graph(3)
+
+
+# Characters str.splitlines() breaks at but graph files do not: only LF, CRLF
+# and CR end a line.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+class TestLineBreaks:
+    def test_edge_list_comment(self, char):
+        assert parse_edge_list(f"# a{char}b\n3 1\n1 2") == Graph(3, [(1, 2)])
+        with pytest.raises(ParseError) as info:
+            parse_edge_list(f"# a{char}b\n3 1\n1 1")
+        assert str(info.value) == "line 3: self-loop at vertex 1"
+
+    def test_dimacs_comment(self, char):
+        assert parse_dimacs(f"c a{char}b\np edge 3 1\ne 1 2") == Graph(3, [(1, 2)])
+        with pytest.raises(ParseError) as info:
+            parse_dimacs(f"c a{char}b\np edge 3 1\ne 1 1")
+        assert str(info.value) == "line 3: self-loop at vertex 1"
+
+
+class TestGraphIsTheEdgeValidator:
+    """The parsers check the file format only; Graph checks every edge rule."""
+
+    class RecordingGraph:
+        def __init__(self, n, edges):
+            self.n = n
+            self.edges = list(edges)
+
+    class FailingOnSecondDraw:
+        def __init__(self, n, edges):
+            for drawn, _ in enumerate(edges):
+                if drawn == 1:
+                    raise ValueError("x")
+
+    @pytest.mark.parametrize(
+        "text, drawn",
+        [("3 2\n1 2\n1 2", [(1, 2), (1, 2)]), ("p edge 3 2\ne 1 2\ne 2 1", [(1, 2), (2, 1)])],
+    )
+    def test_edges_reach_graph_unchecked(self, monkeypatch, text, drawn):
+        monkeypatch.setattr(lexid.graphio, "Graph", self.RecordingGraph)
+        assert parse_graph(text).edges == drawn
+
+    @pytest.mark.parametrize("text", ["3 2\n1 2\n2 3", "p edge 3 2\ne 1 2\ne 2 3"])
+    def test_graph_error_is_reported_at_the_line_drawn(self, monkeypatch, text):
+        monkeypatch.setattr(lexid.graphio, "Graph", self.FailingOnSecondDraw)
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == "line 3: x"
+
+    @pytest.mark.parametrize("fake", [None, RecordingGraph])
+    def test_parse_error_is_not_wrapped(self, monkeypatch, fake):
+        if fake is not None:
+            monkeypatch.setattr(lexid.graphio, "Graph", fake)
+        with pytest.raises(ParseError) as info:
+            parse_edge_list("3 2\n1 2\nx y")
+        assert str(info.value) == "line 3: expected integer endpoint, got 'x'"
+        assert info.value.line == 3
+
+
+@st.composite
+def noisy_files(draw):
+    """A corpus graph in either format, with blank and comment lines between its
+    lines and each line ended by LF, CRLF or CR."""
+    g = draw(st.sampled_from(small_corpus()[:60]))
+    dimacs = draw(st.booleans())
+    lines = (to_dimacs(g) if dimacs else to_edge_list(g)).splitlines()
+    text = st.text(st.sampled_from(["a", "1", " ", "\t", *NOT_LINE_BREAKS]), max_size=6)
+    noise = st.one_of(
+        st.sampled_from(["", " ", "\t", *NOT_LINE_BREAKS]),
+        text.map(lambda t: "#" + t),
+        text.map(lambda t: "c " + t) if dimacs else st.nothing(),
+    )
+    out = []
+    for line in lines:
+        out += draw(st.lists(noise, max_size=2))
+        out.append(line)
+    out += draw(st.lists(noise, max_size=2))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(out), max_size=len(out)))
+    return g, "".join(line + end for line, end in zip(out, ends))
+
+
+@settings(max_examples=200)
+@given(noisy_files())
+def test_noisy_round_trip(case):
+    g, text = case
+    assert parse_graph(text) == g
 
 
 class TestRoundTrip:
