@@ -80,8 +80,9 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines and lines starting with '#' are ignored anywhere.
     """
     lines = _Lines(text)
-    number, line = next(iter(lines), (0, ""))
-    if not line:
+    for number, line in lines:
+        break
+    else:
         raise ParseError("missing 'n m' header line")
     tokens = line.split()
     if len(tokens) != 2:
