@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from lexid import nonminimal_grid_fixture, parse_edge_list, path_graph, to_dimacs, to_edge_list
+from lexid import (
+    gnp_graph,
+    nonminimal_grid_fixture,
+    parse_edge_list,
+    path_graph,
+    to_dimacs,
+    to_edge_list,
+)
 from lexid.cli import main
 
 
@@ -29,7 +36,59 @@ def p3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def twins_file(tmp_path):
+    # three twin classes, {1, 6}, {2, 3} and {4, 5}: each ordering meets a different pair first
+    path = tmp_path / "twins.txt"
+    path.write_text("6 3\n1 6\n2 3\n4 5\n")
+    return str(path)
+
+
+ORDERINGS = {
+    "degree-desc": ["--ordering", "degree-desc"],
+    "random": ["--ordering", "random", "--seed", "3"],
+    "explicit": ["--ordering", "explicit", "--perm", "REVERSED"],
+}
+
+# (graph file fixture, ordering) -> code members on the original labels, or the twin pair
+ORDERING_OUTCOMES = {
+    ("fixture_file", "degree-desc"): ("code", [2, 3, 4, 7]),
+    ("fixture_file", "random"): ("code", [3, 4, 5, 6, 8, 9]),
+    ("fixture_file", "explicit"): ("code", [4, 5, 6, 7, 8, 9]),
+    ("twins_file", "degree-desc"): ("twins", [2, 3]),
+    ("twins_file", "random"): ("twins", [1, 6]),
+    ("twins_file", "explicit"): ("twins", [4, 5]),
+}
+
+
 class TestCodeCommand:
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("graph, ordering", list(ORDERING_OUTCOMES))
+    def test_ordering_exact_output(self, graph, ordering, dense, as_json, request, capsys):
+        path = request.getfixturevalue(graph)
+        n = {"fixture_file": 9, "twins_file": 6}[graph]
+        reversed_perm = ",".join(str(v) for v in range(n, 0, -1))
+        flags = [reversed_perm if a == "REVERSED" else a for a in ORDERINGS[ordering]]
+        flags += ["--dense"] * dense + ["--json"] * as_json
+        status = main(["code", *flags, path])
+        captured = capsys.readouterr()
+        kind, members = ORDERING_OUTCOMES[graph, ordering]
+        algorithm = "dense" if dense else "sparse"
+        head = f'{{"schema": 1, "n": {n}, "algorithm": "{algorithm}", "ordering": "{ordering}", '
+        listed = ", ".join(map(str, members))
+        if kind == "code":
+            expected = (0, f"{' '.join(map(str, members))}\n{len(members)}\n", "")
+            if as_json:
+                body = f'"code": [{listed}], "cardinality": {len(members)}, "verified": true}}\n'
+                expected = (0, head + body, "")
+        elif as_json:
+            expected = (2, head + f'"twins": [{listed}]}}\n', "")
+        else:
+            message = f"error: graph is not twin-free (twins {members[0]} {members[1]})\n"
+            expected = (2, "", message)
+        assert (status, captured.out, captured.err) == expected
+
     def test_dense_on_fixture(self, fixture_file, capsys):
         assert main(["code", "--dense", fixture_file]) == 0
         out = capsys.readouterr().out.splitlines()
@@ -145,6 +204,12 @@ class TestTwinsCommand:
         assert main(["twins", p3_file]) == 0
         assert capsys.readouterr().out.strip() == "twin-free"
 
+    def test_gnp_pair_exact(self, tmp_path, capsys):
+        path = tmp_path / "gnp.txt"
+        path.write_text(to_edge_list(gnp_graph(60, 0.08, 95)))
+        assert main(["twins", str(path)]) == 2
+        assert capsys.readouterr() == ("8 44\n", "")
+
 
 class TestExactCommands:
     def test_minimum_p3(self, p3_file, capsys):
@@ -239,6 +304,48 @@ class TestBenchCommand:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][0] == "record"
         assert any(row[0] == "sample" for row in rows)
+
+    def test_csv_exact_with_timings_masked(self, capsys):
+        argv = ["bench", "--families", "path,grid,gnp", "--sizes", "2,9,16", "--reps", "1"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        for row in rows[1:]:
+            if row[0] == "sample":
+                assert float(row[5]) >= 0
+                row[5] = "T"
+            elif row[0] == "crossover":  # the first size where sparse wall time beats dense
+                row[7] = "T"
+        assert "\n".join(",".join(row) for row in rows) == "\n".join([
+            "record,family,n,max_degree,algorithm,median_seconds,work_units,value",
+            "sample,path,9,2,dense,T,388,",
+            "sample,path,9,2,sparse,T,86,",
+            "sample,path,16,2,dense,T,1867,",
+            "sample,path,16,2,sparse,T,217,",
+            "sample,grid,9,4,dense,T,327,",
+            "sample,grid,9,4,sparse,T,76,",
+            "sample,grid,16,4,dense,T,1827,",
+            "sample,grid,16,4,sparse,T,231,",
+            "sample,gnp,2,0,dense,T,11,",
+            "sample,gnp,2,0,sparse,T,6,",
+            "sample,gnp,9,5,dense,T,420,",
+            "sample,gnp,9,5,sparse,T,83,",
+            "sample,gnp,16,6,dense,T,1518,",
+            "sample,gnp,16,6,sparse,T,210,",
+            "slope,path,,,dense,,,2.7306",
+            "slope,path,,,sparse,,,1.6086",
+            "slope,grid,,,dense,,,2.9902",
+            "slope,grid,,,sparse,,,1.9321",
+            "slope,gnp,,,dense,,,2.3800",
+            "slope,gnp,,,sparse,,,1.7172",
+            "crossover,path,,,,,,T",
+            "crossover,grid,,,,,,T",
+            "crossover,gnp,,,,,,T",
+            "skipped,path,2,,,,,twins 1 2",
+            "skipped,grid,2,,,,,twins 1 2",
+        ])
+        assert captured.out.endswith("\r\n")
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "bench.csv"
