@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from .dense import DenseWorkTally, lex_code_dense
 from .generate import sized_instance
-from .graph import find_twins
-from .orderings import apply_sequence
+from .graph import ClosedNeighborhoodMatrix, find_twins
 from .rng import SplitMix64, derive_seed
 from .sparse import SparseWorkTally, lex_code_sparse
 
@@ -148,9 +147,8 @@ def bench(
                 continue
             sequence = list(range(1, g.n + 1))
             SplitMix64(derive_seed(seed, g.n)).shuffle(sequence)
-            instance = apply_sequence(g, sequence)
-            matrix = instance.neighborhood_matrix
-            array = instance.neighborhood_array
+            array = g.neighborhood_array.relabel(sequence)
+            matrix = ClosedNeighborhoodMatrix(array)
             dense_seconds = _median_time(lambda: lex_code_dense(matrix), repetitions)
             sparse_seconds = _median_time(lambda: lex_code_sparse(array), repetitions)
             dense_tally = DenseWorkTally()

@@ -15,9 +15,10 @@ from pathlib import Path
 from .bench import bench
 from .exact import DEFAULT_EXACT_CAP, greedy_code, minimalize, minimum_code
 from .generate import FAMILIES, gen, nonminimal_grid_fixture
-from .graph import Code, Graph, TwinFailure, TwinsError, find_twins, is_identifying_code
+from .graph import ClosedNeighborhoodMatrix, Code, Graph, TwinFailure, TwinsError
+from .graph import find_twins, is_identifying_code
 from .graphio import ParseError, parse_graph, to_dimacs, to_edge_list
-from .orderings import STRATEGY_KINDS, OrderingStrategy, apply_sequence, code_to_original
+from .orderings import STRATEGY_KINDS, OrderingStrategy, code_to_original
 from .restarts import run_restarts
 from .rng import SplitMix64
 from .sparse import lex_code_sparse
@@ -108,16 +109,16 @@ def _cmd_code(args: argparse.Namespace) -> int:
     algorithm = "dense" if args.dense else "sparse"
     strategy = _strategy_from_args(args)
     seed = args.seed if args.seed is not None else _default_seed()
+    array = g.neighborhood_array
     if strategy.kind == "identity":
         sequence = list(range(1, g.n + 1))
-        target = g
     else:
         sequence = strategy.sequence_for(g, SplitMix64(seed))
-        target = apply_sequence(g, sequence)
+        array = array.relabel(sequence)
     if algorithm == "dense":
-        outcome = lex_code_dense(target.neighborhood_matrix)
+        outcome = lex_code_dense(ClosedNeighborhoodMatrix(array))
     else:
-        outcome = lex_code_sparse(target.neighborhood_array)
+        outcome = lex_code_sparse(array)
     if isinstance(outcome, TwinFailure):
         pair = tuple(sorted((sequence[outcome.k - 1], sequence[outcome.j - 1])))
         if args.json:

@@ -1,9 +1,10 @@
 """Lexicographic identifying-code construction over the bit-matrix view.
 
 Coverage rows are bitsets, so the scan's row keys are integers.  Inserting
-codeword l sets bit l-1 in the rows of the vertices l covers, which are the
-members of row l since the matrix is symmetric; the model tally still charges
-the paper's copy of a whole matrix column.
+codeword l sets bit l-1 in the rows of the vertices l covers, which the
+matrix reads from the sorted list of N(v_l) it was derived from (the matrix
+is symmetric); the model tally still charges the paper's copy of a whole
+matrix column.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graph import ClosedNeighborhoodMatrix, RunOutcome, bits_to_vertices
+from .graph import ClosedNeighborhoodMatrix, RunOutcome
 from .scan import CoverageState, lex_scan
 
 
@@ -84,8 +85,7 @@ def lex_code_dense(
     return lex_scan(
         x,
         lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
-        # supports are listed per codeword: a list for every row would cost memory
-        lambda l: bits_to_vertices(rows_b[l]),
+        b._lists.__getitem__,
         lambda row, l: row | 1 << (l - 1),
         charge=None if tally is None else charge,
         observer=observer,

@@ -17,7 +17,7 @@ from .graph import (
     RunOutcome,
     TwinFailure,
     TwinsError,
-    _identifies,
+    _distinct_nonempty,
     bits_to_vertices,
     find_twins,
     is_identifying_code,
@@ -49,7 +49,7 @@ def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResu
     twins = find_twins(g)
     if twins is not None:
         raise TwinsError(twins)
-    rows = g.neighborhood_matrix._rows
+    rows = g.neighborhood_matrix._rows[1:]
     n = g.n
     bits = [1 << (v - 1) for v in range(1, n + 1)]
     # any identifying code C yields n distinct non-empty subsets of C,
@@ -60,7 +60,7 @@ def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResu
     for cardinality in range(lower, n + 1):
         for combo in combinations(bits, cardinality):
             cmask = sum(combo)
-            if _identifies(rows, n, cmask):
+            if _distinct_nonempty(map(cmask.__and__, rows)):
                 return MinimumResult(Code(bits_to_vertices(cmask)), cardinality)
     raise AssertionError("unreachable: the full vertex set of a twin-free graph is identifying")
 
@@ -76,13 +76,13 @@ def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     members = tuple(code)
     if not is_identifying_code(g, members):
         raise ValueError(f"input code {members} is not an identifying code")
-    rows = g.neighborhood_matrix._rows
+    rows = g.neighborhood_matrix._rows[1:]
     cmask = 0
     for v in members:
         cmask |= 1 << (v - 1)
     for v in members:
         trial = cmask & ~(1 << (v - 1))
-        if _identifies(rows, g.n, trial):
+        if _distinct_nonempty(map(trial.__and__, rows)):
             cmask = trial
     return Code(bits_to_vertices(cmask))
 

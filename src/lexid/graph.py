@@ -8,11 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
-
-
-def _bit(v: int) -> int:
-    return 1 << (v - 1)
+from typing import Hashable, Iterable, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -24,7 +20,8 @@ class Graph:
     vertex) and rejects self-loops, out-of-range endpoints, and duplicate edges
     (in either orientation). It is the package's only edge validator: it draws
     one pair at a time, so the parsers stream their edges into it and the first
-    fault in file order is the one reported.
+    fault in file order is the one reported.  The sorted lists are the one view
+    built from the edges; the bit matrix is derived from them.
     """
 
     n: int
@@ -64,13 +61,7 @@ class Graph:
     @cached_property
     def neighborhood_matrix(self) -> ClosedNeighborhoodMatrix:
         """Bit-matrix view: row j is the bitset of the closed neighborhood N(v_j)."""
-        rows = [0] * (self.n + 1)
-        for v in range(1, self.n + 1):
-            rows[v] = _bit(v)
-        for u, v in self.edges:
-            rows[u] |= _bit(v)
-            rows[v] |= _bit(u)
-        return ClosedNeighborhoodMatrix(self.n, tuple(rows))
+        return ClosedNeighborhoodMatrix(self.neighborhood_array)
 
     @cached_property
     def neighborhood_array(self) -> NeighborhoodArray:
@@ -88,17 +79,25 @@ class Graph:
 class ClosedNeighborhoodMatrix:
     """Rows of the closed-neighborhood matrix (identity plus adjacency) as bitsets.
 
-    Bit l-1 of row(j) is set iff v_l is in N(v_j); the diagonal is all ones and
-    the matrix is symmetric.  Rows are immutable once built.  The padding row
-    at index 0 must be 0, the empty neighborhood: the constructors' scan uses
-    it as the row of a vertex that covers nothing.
+    Derived from a NeighborhoodArray, whose sorted lists it keeps: bit l-1 of
+    row(j) is set iff v_l is in the list N(v_j), so the diagonal is all ones and
+    the matrix is symmetric.  Rows are immutable once built.  The padding row at
+    index 0 is 0, from the array's empty entry: the constructors' scan uses it
+    as the row of a vertex that covers nothing.
     """
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "_lists")
 
-    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
-        self.n = n
-        self._rows = rows  # rows[0] is the empty padding row
+    def __init__(self, array: NeighborhoodArray) -> None:
+        self.n = array.n
+        self._lists = array._lists
+        rows = []
+        for members in self._lists:
+            row = 0
+            for u in members:
+                row |= 1 << (u - 1)
+            rows.append(row)
+        self._rows = tuple(rows)  # rows[0] is the empty padding row
 
     def row(self, j: int) -> int:
         """Bitset of N(v_j)."""
@@ -113,7 +112,8 @@ class ClosedNeighborhoodMatrix:
 
     def support(self, j: int) -> tuple[int, ...]:
         """Members of N(v_j) in ascending order."""
-        return bits_to_vertices(self.row(j))
+        self._check(j)
+        return self._lists[j]
 
     def _check(self, v: int) -> None:
         if not 1 <= v <= self.n:
@@ -166,7 +166,7 @@ class Code:
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
         for m in members:
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:
                 raise ValueError(f"code member {m!r} is not a positive integer")
         if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError(f"code members must be strictly increasing, got {members}")
@@ -215,9 +215,7 @@ class TwinsError(ValueError):
 
 def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
     """The vertex v together with its neighbors, ascending."""
-    if not 1 <= v <= g.n:
-        raise ValueError(f"vertex {v} out of range 1..{g.n}")
-    return g.neighborhood_matrix.support(v)
+    return g.neighborhood_array.neighborhood(v)
 
 
 def find_twins(g: Graph) -> tuple[int, int] | None:
@@ -226,31 +224,30 @@ def find_twins(g: Graph) -> tuple[int, int] | None:
     Pairs are searched in order of increasing j, then increasing k, which is
     exactly the pair the lexicographic constructors fail on.
     """
-    rows = g.neighborhood_matrix._rows
-    first_with_row: dict[int, int] = {}
+    lists = g.neighborhood_array._lists
+    first_with_list: dict[tuple[int, ...], int] = {}
     for j in range(1, g.n + 1):
-        row = rows[j]
-        k = first_with_row.setdefault(row, j)
+        k = first_with_list.setdefault(lists[j], j)
         if k != j:
             return (k, j)
     return None
 
 
 def is_identifying_code(g: Graph, code: Code | Iterable[int]) -> bool:
-    """True iff all closed neighborhoods intersect the code in distinct, non-empty sets."""
-    cmask = 0
+    """True iff the traces N(v) ∩ C, as sorted tuples, are non-empty and pairwise distinct."""
+    members = set()
     for v in code:
         if not 1 <= v <= g.n:
             raise ValueError(f"code member {v} out of range 1..{g.n}")
-        cmask |= _bit(v)
-    return _identifies(g.neighborhood_matrix._rows, g.n, cmask)
+        members.add(v)
+    lists = g.neighborhood_array._lists[1:]
+    return _distinct_nonempty(tuple(filter(members.__contains__, nbhd)) for nbhd in lists)
 
 
-def _identifies(rows: Sequence[int], n: int, cmask: int) -> bool:
-    """True iff rows 1..n meet the bitset cmask in distinct, non-empty traces."""
-    seen: set[int] = set()
-    for v in range(1, n + 1):
-        trace = rows[v] & cmask
+def _distinct_nonempty(traces: Iterable[Hashable]) -> bool:
+    """True iff every trace is non-empty and no two are equal."""
+    seen = set()
+    for trace in traces:
         if not trace or trace in seen:
             return False
         seen.add(trace)

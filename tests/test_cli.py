@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lexid import (
+    ClosedNeighborhoodMatrix,
     gnp_graph,
     nonminimal_grid_fixture,
     parse_edge_list,
@@ -370,6 +371,57 @@ class TestBenchCommand:
             "record,family,n,max_degree,algorithm,median_seconds,work_units,value",
             'skipped,hypercube,0,,,,,"hypercube size must be a power of two, got 0"',
         ]
+
+
+class TestMatrixBuilds:
+    """Only the dense paths build the n²-bit matrix; the sparse paths read the sorted lists."""
+
+    @pytest.fixture
+    def isolated_file(self, tmp_path):
+        # at n = 40000 the matrix alone is ~100 MB; the sparse path needs a few MiB
+        path = tmp_path / "isolated.txt"
+        path.write_text("40000 0\n")
+        return str(path)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+
+        def refusing_init(self, *args):
+            built.append(args)
+            raise AssertionError("the bit matrix was built")
+
+        monkeypatch.setattr(ClosedNeighborhoodMatrix, "__init__", refusing_init)
+        return built
+
+    @pytest.mark.parametrize("graph, n", [("fixture_file", 9), ("isolated_file", 40000)])
+    @pytest.mark.parametrize("argv", [
+        ["code"],
+        ["code", "--json"],
+        ["code", "--ordering", "random"],
+        ["verify", "--code", "ALL"],
+        ["twins"],
+        ["restarts", "--restarts", "2"],
+    ], ids=" ".join)
+    def test_sparse_paths_build_none(self, graph, n, argv, builds, request, capsys):
+        everything = ",".join(str(v) for v in range(1, n + 1))
+        argv = [everything if a == "ALL" else a for a in argv]
+        assert main([*argv, request.getfixturevalue(graph)]) == 0
+        assert capsys.readouterr().err == ""
+        assert builds == []
+
+    def test_dense_code_builds_one(self, fixture_file, monkeypatch, capsys):
+        built = []
+        init = ClosedNeighborhoodMatrix.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ClosedNeighborhoodMatrix, "__init__", counting_init)
+        assert main(["code", "--dense", "--ordering", "random", "--seed", "3", fixture_file]) == 0
+        assert capsys.readouterr().out == "3 4 5 6 8 9\n6\n"
+        assert len(built) == 1  # the counter does see a build
 
 
 class TestBrokenPipe:

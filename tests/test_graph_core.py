@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexid import (
+    ClosedNeighborhoodMatrix,
     Code,
     Graph,
     TwinFailure,
@@ -199,12 +200,34 @@ class TestRelabel:
         assert str(got.value) == str(expected.value) == f"not a permutation of 1..3: {tuple(bad)!r}"
 
 
+class TestDerivedMatrix:
+    @given(graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_rows_match_the_edges(self, g, rnd):
+        sequence = list(range(1, g.n + 1))
+        rnd.shuffle(sequence)
+        relabeled = apply_sequence(g, sequence)
+        for a, h in ((g.neighborhood_array, g), (g.neighborhood_array.relabel(sequence), relabeled)):
+            b = ClosedNeighborhoodMatrix(a)
+            nbhd = neighborhood_sets(h)
+            rows = [0] + [sum(1 << (u - 1) for u in nbhd[v]) for v in range(1, h.n + 1)]
+            assert b.n == h.n
+            assert b._rows == tuple(rows)
+            for j in range(1, h.n + 1):
+                assert b.support(j) == closed_neighborhood(h, j) == tuple(sorted(nbhd[j]))
+
+
 class TestDomainTypes:
     def test_code_requires_strictly_increasing(self):
         with pytest.raises(ValueError):
             Code((2, 1))
         with pytest.raises(ValueError):
             Code((1, 1))
+
+    def test_code_rejects_bool_members(self):
+        with pytest.raises(ValueError) as info:
+            Code((True, 2))
+        assert str(info.value) == "code member True is not a positive integer"
 
     def test_code_iteration_and_cardinality(self):
         code = Code((2, 5, 7))
