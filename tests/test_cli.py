@@ -45,38 +45,28 @@ def twins_file(tmp_path):
     return str(path)
 
 
-ORDERINGS = {
-    "degree-desc": ["--ordering", "degree-desc"],
-    "random": ["--ordering", "random", "--seed", "3"],
-    "explicit": ["--ordering", "explicit", "--perm", "REVERSED"],
-}
-
-# (graph file fixture, ordering) -> code members on the original labels, or the twin pair
-ORDERING_OUTCOMES = {
-    ("fixture_file", "degree-desc"): ("code", [2, 3, 4, 7]),
-    ("fixture_file", "random"): ("code", [3, 4, 5, 6, 8, 9]),
-    ("fixture_file", "explicit"): ("code", [4, 5, 6, 7, 8, 9]),
-    ("twins_file", "degree-desc"): ("twins", [2, 3]),
-    ("twins_file", "random"): ("twins", [1, 6]),
-    ("twins_file", "explicit"): ("twins", [4, 5]),
-}
+# graph file fixture, n, --ordering flags, outcome on the original labels
+ORDERING_CASES = [
+    ("fixture_file", 9, ["degree-desc"], ("code", [2, 3, 4, 7])),
+    ("fixture_file", 9, ["random", "--seed", "3"], ("code", [3, 4, 5, 6, 8, 9])),
+    ("fixture_file", 9, ["explicit", "--perm", "9,8,7,6,5,4,3,2,1"], ("code", [4, 5, 6, 7, 8, 9])),
+    ("twins_file", 6, ["degree-desc"], ("twins", [2, 3])),
+    ("twins_file", 6, ["random", "--seed", "3"], ("twins", [1, 6])),
+    ("twins_file", 6, ["explicit", "--perm", "6,5,4,3,2,1"], ("twins", [4, 5])),
+]
 
 
 class TestCodeCommand:
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-    @pytest.mark.parametrize("graph, ordering", list(ORDERING_OUTCOMES))
-    def test_ordering_exact_output(self, graph, ordering, dense, as_json, request, capsys):
-        path = request.getfixturevalue(graph)
-        n = {"fixture_file": 9, "twins_file": 6}[graph]
-        reversed_perm = ",".join(str(v) for v in range(n, 0, -1))
-        flags = [reversed_perm if a == "REVERSED" else a for a in ORDERINGS[ordering]]
-        flags += ["--dense"] * dense + ["--json"] * as_json
-        status = main(["code", *flags, path])
+    @pytest.mark.parametrize("graph, n, ordering, outcome", ORDERING_CASES)
+    def test_ordering_exact_output(self, graph, n, ordering, outcome, dense, as_json, request, capsys):
+        flags = ["--ordering", *ordering] + ["--dense"] * dense + ["--json"] * as_json
+        status = main(["code", *flags, request.getfixturevalue(graph)])
         captured = capsys.readouterr()
-        kind, members = ORDERING_OUTCOMES[graph, ordering]
+        kind, members = outcome
         algorithm = "dense" if dense else "sparse"
-        head = f'{{"schema": 1, "n": {n}, "algorithm": "{algorithm}", "ordering": "{ordering}", '
+        head = f'{{"schema": 1, "n": {n}, "algorithm": "{algorithm}", "ordering": "{ordering[0]}", '
         listed = ", ".join(map(str, members))
         if kind == "code":
             expected = (0, f"{' '.join(map(str, members))}\n{len(members)}\n", "")
