@@ -75,3 +75,11 @@ def brute_lex_code(g: Graph):
             return ("twins", j, k)
         code.add(min(diff))
     return ("code", tuple(sorted(code)))
+
+
+def reference_shuffle(rng, items: list) -> None:
+    """Fisher-Yates straight from its definition: for i from high to low,
+    swap items[i] with items[rng.randbelow(i + 1)]."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexid import (
     Code,
@@ -22,6 +24,7 @@ from lexid import (
 )
 
 from corpus import twin_free_corpus
+from oracles import reference_shuffle
 
 
 class TestSplitMix64:
@@ -49,6 +52,24 @@ class TestSplitMix64:
         items = list(range(1, 30))
         SplitMix64(5).shuffle(items)
         assert sorted(items) == list(range(1, 30))
+
+    @given(
+        st.one_of(
+            st.integers(0, 2**64 - 1),
+            st.builds(derive_seed, st.integers(0, 2**64 - 1), st.integers(0, 1000)),
+        ),
+        st.integers(0, 300),
+    )
+    @settings(max_examples=300)
+    def test_shuffle_matches_reference(self, seed, length):
+        # the permutation and the generator state it leaves behind both match
+        # a Fisher-Yates that draws through randbelow
+        items, expected = list(range(length)), list(range(length))
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        rng.shuffle(items)
+        reference_shuffle(ref, expected)
+        assert items == expected
+        assert rng.next_u64() == ref.next_u64()
 
     def test_derive_seed_prefix_stable(self):
         assert [derive_seed(7, i) for i in range(5)] == [derive_seed(7, i) for i in range(5)]
