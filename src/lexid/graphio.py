@@ -7,6 +7,7 @@ indices define the processing order.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from .graph import Graph
@@ -161,9 +162,11 @@ def to_dimacs(g: Graph) -> str:
 
 def detect_format(text: str) -> str:
     """Guess 'dimacs' or 'edgelist' from the first significant line."""
-    for _, line in _Lines(text):
-        first = line.split()[0]
-        return "dimacs" if first in ("c", "p", "e") else "edgelist"
+    # each match is one non-empty line; reading stops at the first significant one
+    for line in re.finditer(r"[^\r\n]+", text):
+        tokens = line.group().split()
+        if tokens and not tokens[0].startswith("#"):
+            return "dimacs" if tokens[0] in ("c", "p", "e") else "edgelist"
     return "edgelist"
 
 

@@ -1,9 +1,12 @@
 """Random-restart search for small identifying codes.
 
 Each restart relabels the neighborhood array to a new vertex order (no new
-Graph), runs the sparse constructor and maps the code back.  Restart i draws
-its ordering from a generator seeded with derive_seed(seed, i), so reports
-are reproducible and the first r restarts never depend on the total count.
+Graph) and runs the sparse constructor.  It maps its code back to the
+original labels only when the code is strictly smaller than the best so far,
+so the best code is that of the first restart reaching the minimum.  Restart
+i draws its ordering from a generator seeded with derive_seed(seed, i), so
+reports are reproducible and the first r restarts never depend on the total
+count.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def run_restarts(
     twins = find_twins(g)
     if twins is not None:
         raise TwinsError(twins)
-    codes: list[Code] = []
+    best_code: Code | None = None
     cardinalities: list[int] = []
     seeds: list[int] = []
     elapsed: list[float] = []
@@ -58,16 +61,15 @@ def run_restarts(
         sequence = strategy.sequence_for(g, SplitMix64(restart_seed))
         outcome = lex_code_sparse(array.relabel(sequence))
         assert isinstance(outcome, Code)  # twin-freeness is permutation-invariant
-        code = code_to_original(outcome, sequence)
+        if best_code is None or len(outcome) < best_code.cardinality:
+            best_code = code_to_original(outcome, sequence)  # ties keep the first
         elapsed.append(time.perf_counter() - start)
-        codes.append(code)
-        cardinalities.append(code.cardinality)
+        cardinalities.append(len(outcome))
         seeds.append(restart_seed)
-    best_index = min(range(restarts), key=lambda i: cardinalities[i])
     return RestartReport(
         strategy=strategy.kind,
-        best_code=codes[best_index],
-        best_cardinality=cardinalities[best_index],
+        best_code=best_code,
+        best_cardinality=best_code.cardinality,
         cardinalities=tuple(cardinalities),
         seeds=tuple(seeds),
         elapsed_seconds=tuple(elapsed),

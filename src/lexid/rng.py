@@ -46,10 +46,25 @@ class SplitMix64:
                 return x % bound
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle, drawing indices high-to-low."""
+        """In-place Fisher-Yates shuffle, drawing indices high-to-low.
+
+        Draws each index as randbelow(i + 1) would, inlined on a local state.
+        """
+        gamma, mix1, mix2, mask, two64 = _GAMMA, _MIX1, _MIX2, MASK64, MASK64 + 1
+        state = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+            bound = i + 1
+            limit = two64 - two64 % bound
+            while True:
+                state = (state + gamma) & mask
+                z = ((state ^ (state >> 30)) * mix1) & mask
+                z = ((z ^ (z >> 27)) * mix2) & mask
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = z % bound
             items[i], items[j] = items[j], items[i]
+        self._state = state
 
 
 def derive_seed(master: int, index: int) -> int:

@@ -1,10 +1,13 @@
 """The lexicographic scan shared by the dense and sparse constructors.
 
-Both constructors keep one immutable coverage row per vertex, the row of v_a
-standing for N(v_a) ∩ C, and scan the vertices in index order.  At step j a
-dict from each of rows 0..j-1 to its vertex finds the k < j whose row equals
-row j.  Those rows are pairwise distinct: each step separates its row from
-the earlier ones, and a new codeword is in no row before it is inserted, so
+Both constructors keep one immutable, hashable coverage row per vertex, the
+row of v_a standing for N(v_a) ∩ C, and scan the vertices in index order.
+Two rows must be equal exactly when their sets are: a bitset is, and so is a
+tuple that lists its codewords in the order they joined C, because each
+codeword joins every row it covers in the same step.  At step j a dict from
+each of rows 0..j-1 to its vertex finds the k < j whose row equals row j.
+Those rows are pairwise distinct: each step separates its row from the
+earlier ones, and a new codeword is in no row before it is inserted, so
 adding it keeps them distinct.  Row 0 is a permanently empty sentinel, so
 k = 0 means v_j is not covered yet; any other k means v_j is not separated
 from v_k.  Either way the smallest vertex of N(v_j) Δ N(v_k) becomes a
@@ -26,7 +29,7 @@ class CoverageState:
     """Snapshot of the coverage rows after one step, for inspection in tests."""
 
     step: int
-    rows: tuple  # rows[a-1] is N(v_a) ∩ C: a bitset (dense) or a sorted tuple (sparse)
+    rows: tuple  # rows[a-1] is N(v_a) ∩ C: a bitset (dense) or a sorted tuple (sparse snapshot)
     code: tuple[int, ...]
 
     def row(self, a: int):

@@ -1,14 +1,15 @@
 """Lexicographic identifying-code construction over sorted adjacency lists.
 
-Coverage rows are sorted tuples, so inserting codeword l only rebuilds the
-degree(l)+1 rows of the vertices l covers, which is the saving over the
-bit-matrix constructor on bounded-degree graphs.
+Coverage rows are tuples of codewords in the order they joined the code, so
+inserting codeword l appends it to the degree(l)+1 rows of the vertices l
+covers, which is the saving over the bit-matrix constructor on bounded-degree
+graphs.  Every row shares that one order, so two rows are equal as tuples
+exactly when they are equal as sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .graph import NeighborhoodArray, RunOutcome
@@ -84,15 +85,12 @@ def lex_code_sparse(
     Produces the same Code or TwinFailure as lex_code_dense on the same graph
     and vertex order.  observer, if given, receives a CoverageState (rows as
     sorted tuples) after every completed step; tally, if given, accumulates
-    the model element-touch cost.
+    the model element-touch cost.  The run itself keeps rows in insertion
+    order and sorts them only for the observer's snapshots.
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
     x: list[tuple[int, ...]] = [()] * (n + 1)
-
-    def add(row: tuple[int, ...], l: int) -> tuple[int, ...]:
-        i = bisect(row, l)
-        return row[:i] + (l,) + row[i:]
 
     def charge(j: int, k: int, l: int) -> None:
         tally.empty_check_touches += 1
@@ -105,11 +103,14 @@ def lex_code_sparse(
             tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
             tally.insert_touches += len(lists[l]) if l <= n else 0
 
+    def sorted_rows(state: CoverageState) -> None:
+        observer(replace(state, rows=tuple(tuple(sorted(row)) for row in state.rows)))
+
     return lex_scan(
         x,
         lambda j, k: _min3_walk(lists[j], lists[k], n)[0],
         lists.__getitem__,
-        add,
+        lambda row, l: row + (l,),
         charge=None if tally is None else charge,
-        observer=observer,
+        observer=None if observer is None else sorted_rows,
     )

@@ -20,6 +20,7 @@ from lexid import (
     to_dimacs,
     to_edge_list,
 )
+from lexid.graphio import _Lines, detect_format
 
 from corpus import small_corpus
 
@@ -238,6 +239,12 @@ class TestRoundTrip:
         g = path_graph(4)
         assert parse_graph(to_edge_list(g)) == g
         assert parse_graph(to_dimacs(g)) == g
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from(["\n", "\r", " ", "#", "c", "p", "e", "1", *NOT_LINE_BREAKS])))
+    def test_detection_reads_the_first_significant_line(self, text):
+        first = next((line for _, line in _Lines(text)), "1")
+        assert detect_format(text) == ("dimacs" if first.split()[0] in ("c", "p", "e") else "edgelist")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexid.restarts
 from lexid import (
     Code,
     Graph,
@@ -206,3 +207,34 @@ class TestRunRestarts:
         assert built == []
         apply_sequence(g, list(range(1, g.n + 1)))  # the counter does see a rebuild
         assert len(built) == 1
+
+    def test_maps_back_only_on_a_strict_improvement(self, monkeypatch):
+        calls = []
+        map_back = lexid.restarts.code_to_original
+
+        def counting_map_back(code, sequence):
+            calls.append(len(code))
+            return map_back(code, sequence)
+
+        monkeypatch.setattr(lexid.restarts, "code_to_original", counting_map_back)
+        report = run_restarts(gnp_graph(128, 0.1, derive_seed(0, 128)), "random", 200, 0)
+        improvements = [
+            size for i, size in enumerate(report.cardinalities)
+            if i == 0 or size < min(report.cardinalities[:i])
+        ]
+        assert calls == improvements
+        assert len(calls) < 200
+
+    def test_ties_keep_the_first_restart_at_the_minimum(self):
+        # the pinned fixture batch (tests/test_restart_pins.py) reaches its
+        # minimum at several restarts, and they map back to different codes
+        g = nonminimal_grid_fixture()
+        report = run_restarts(g, "random", restarts=20, seed=0)
+        tied = [i for i, size in enumerate(report.cardinalities) if size == report.best_cardinality]
+        codes = []
+        for i in tied:
+            sequence = OrderingStrategy("random").sequence_for(g, SplitMix64(derive_seed(0, i)))
+            outcome = lex_code_sparse(g.neighborhood_array.relabel(sequence))
+            codes.append(code_to_original(outcome, sequence))
+        assert len(set(codes)) > 1
+        assert report.best_code == codes[0]

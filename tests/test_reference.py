@@ -4,8 +4,10 @@ from hypothesis import given, settings
 
 from lexid import (
     Code,
+    OrderingStrategy,
     SplitMix64,
     apply_sequence,
+    derive_seed,
     gnp_graph,
     grid_graph,
     lex_code_dense,
@@ -48,6 +50,13 @@ def test_agree_at_scale():
     SplitMix64(7).shuffle(sequence)
     grid = apply_sequence(grid_graph(40, 40), sequence)
     gnp = gnp_graph(400, 0.05, 11)
-    for g in (grid, gnp):
+    # the sparse rows of a restart list codewords in insertion order, not
+    # sorted; the reference keeps frozensets
+    small = gnp_graph(128, 0.1, derive_seed(0, 128))
+    restarts = [
+        apply_sequence(small, OrderingStrategy("random").sequence_for(small, SplitMix64(derive_seed(0, i))))
+        for i in range(20)
+    ]
+    for g in (grid, gnp, *restarts):
         assert brute_lex_code(g)[0] == "code"
         assert_agree(g)
