@@ -85,8 +85,7 @@ def lex_code_sparse(
     Produces the same Code or TwinFailure as lex_code_dense on the same graph
     and vertex order.  observer, if given, receives a CoverageState (rows as
     sorted tuples) after every completed step; tally, if given, accumulates
-    the model element-touch cost.  The run itself keeps rows in insertion
-    order and sorts them only for the observer's snapshots.
+    the model element-touch cost.
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs

@@ -53,8 +53,9 @@ def test_agree_at_scale():
     # the sparse rows of a restart list codewords in insertion order, not
     # sorted; the reference keeps frozensets
     small = gnp_graph(128, 0.1, derive_seed(0, 128))
+    order = OrderingStrategy("random")
     restarts = [
-        apply_sequence(small, OrderingStrategy("random").sequence_for(small, SplitMix64(derive_seed(0, i))))
+        apply_sequence(small, order.sequence_for(small, SplitMix64(derive_seed(0, i))))
         for i in range(20)
     ]
     for g in (grid, gnp, *restarts):
