@@ -163,8 +163,8 @@ def to_dimacs(g: Graph) -> str:
 def detect_format(text: str) -> str:
     """Guess 'dimacs' or 'edgelist' from the first significant line."""
     # each match is one non-empty line; reading stops at the first significant one
-    for line in re.finditer(r"[^\r\n]+", text):
-        tokens = line.group().split()
+    for match in re.finditer(r"[^\r\n]+", text):
+        tokens = match.group().split()
         if tokens and not tokens[0].startswith("#"):
             return "dimacs" if tokens[0] in ("c", "p", "e") else "edgelist"
     return "edgelist"
