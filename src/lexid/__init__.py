@@ -32,7 +32,6 @@ from .graph import (
     closed_neighborhood,
     find_twins,
     is_identifying_code,
-    permute,
 )
 from .graphio import (
     ParseError,
@@ -46,9 +45,7 @@ from .orderings import (
     OrderingStrategy,
     apply_sequence,
     code_to_original,
-    inverse_permutation,
-    permutation_from_sequence,
-    prefix_permutation,
+    prefix_sequence,
 )
 from .restarts import RestartReport, run_restarts
 from .rng import SplitMix64, derive_seed
@@ -88,7 +85,6 @@ __all__ = [
     "greedy_code",
     "grid_graph",
     "hypercube_graph",
-    "inverse_permutation",
     "is_identifying_code",
     "lex_code_dense",
     "lex_code_sparse",
@@ -103,9 +99,7 @@ __all__ = [
     "parse_edge_list",
     "parse_graph",
     "path_graph",
-    "permutation_from_sequence",
-    "permute",
-    "prefix_permutation",
+    "prefix_sequence",
     "run_restarts",
     "to_dimacs",
     "to_edge_list",

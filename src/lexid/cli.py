@@ -132,7 +132,6 @@ def _cmd_code(args: argparse.Namespace) -> int:
             return EXIT_TWINS
         return _twins_exit(pair)
     code = code_to_original(outcome, sequence)
-    verified = is_identifying_code(g, code)
     if args.json:
         print(json.dumps({
             "schema": 1,
@@ -141,7 +140,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
             "ordering": strategy.kind,
             "code": list(code),
             "cardinality": code.cardinality,
-            "verified": verified,
+            "verified": is_identifying_code(g, code),
         }))
     else:
         _print_code(code)

@@ -85,7 +85,7 @@ def lex_code_dense(
     return lex_scan(
         x,
         lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
-        b._lists.__getitem__,
+        b._lists,
         lambda row, l: row | 1 << (l - 1),
         charge=None if tally is None else charge,
         observer=observer,

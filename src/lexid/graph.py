@@ -101,23 +101,9 @@ class ClosedNeighborhoodMatrix:
 
     def row(self, j: int) -> int:
         """Bitset of N(v_j)."""
-        self._check(j)
+        if not 1 <= j <= self.n:
+            raise ValueError(f"vertex {j} out of range 1..{self.n}")
         return self._rows[j]
-
-    def entry(self, j: int, l: int) -> bool:
-        """True iff v_l covers v_j."""
-        self._check(j)
-        self._check(l)
-        return bool(self._rows[j] >> (l - 1) & 1)
-
-    def support(self, j: int) -> tuple[int, ...]:
-        """Members of N(v_j) in ascending order."""
-        self._check(j)
-        return self._lists[j]
-
-    def _check(self, v: int) -> None:
-        if not 1 <= v <= self.n:
-            raise ValueError(f"vertex {v} out of range 1..{self.n}")
 
 
 class NeighborhoodArray:
@@ -138,10 +124,6 @@ class NeighborhoodArray:
         if not 1 <= j <= self.n:
             raise ValueError(f"vertex {j} out of range 1..{self.n}")
         return self._lists[j]
-
-    def size(self, j: int) -> int:
-        """Length of the list for v_j, i.e. degree(v_j) + 1."""
-        return len(self.neighborhood(j))
 
     def relabel(self, sequence: Sequence[int]) -> NeighborhoodArray:
         """The array after sequence[i-1] becomes vertex i, in O(n + m) with no sort.
@@ -252,12 +234,6 @@ def _distinct_nonempty(traces: Iterable[Hashable]) -> bool:
             return False
         seen.add(trace)
     return True
-
-
-def permute(g: Graph, p: Sequence[int]) -> Graph:
-    """Relabel vertices: p[v-1] is the new label of v; p must be a bijection on 1..n."""
-    _check_permutation(p, g.n)
-    return Graph(g.n, ((p[u - 1], p[v - 1]) for u, v in g.edges))
 
 
 def _check_permutation(p: Sequence[int], n: int) -> None:

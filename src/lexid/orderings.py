@@ -1,9 +1,9 @@
-"""Vertex-ordering strategies and permutation plumbing.
+"""Vertex-ordering strategies and the processing sequences they yield.
 
 The lexicographic constructors process vertices by index, so "choose an
 ordering" means "relabel the graph".  A strategy yields a processing sequence
-(position -> original vertex); helpers convert it to the relabeling
-permutation, apply it, and map resulting codes back to original labels.
+(position -> original vertex); helpers apply it and map resulting codes back
+to original labels.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Code, Graph, permute, _check_permutation
+from .graph import Code, Graph, _check_permutation
 from .rng import SplitMix64
 
 STRATEGY_KINDS = ("identity", "random", "degree-asc", "degree-desc", "explicit")
@@ -62,25 +62,13 @@ def as_strategy(strategy: OrderingStrategy | str | Sequence[int]) -> OrderingStr
     return OrderingStrategy("explicit", tuple(strategy))
 
 
-def permutation_from_sequence(sequence: Sequence[int]) -> list[int]:
-    """Relabeling permutation p with p[v-1] = new label of v, from a processing sequence."""
-    p = [0] * len(sequence)
-    for position, v in enumerate(sequence, 1):
-        p[v - 1] = position
-    return p
-
-
-def inverse_permutation(p: Sequence[int]) -> list[int]:
-    """Inverse bijection: result[new-1] = old."""
-    inv = [0] * len(p)
-    for old, new in enumerate(p, 1):
-        inv[new - 1] = old
-    return inv
-
-
 def apply_sequence(g: Graph, sequence: Sequence[int]) -> Graph:
     """Relabel g so that sequence[i-1] becomes vertex i."""
-    return permute(g, permutation_from_sequence(sequence))
+    _check_permutation(sequence, g.n)
+    label = [0] * (g.n + 1)  # label[v] is the new label of old vertex v
+    for i, v in enumerate(sequence, 1):
+        label[v] = i
+    return Graph(g.n, ((label[u], label[v]) for u, v in g.edges))
 
 
 def code_to_original(code: Code, sequence: Sequence[int]) -> Code:
@@ -88,9 +76,7 @@ def code_to_original(code: Code, sequence: Sequence[int]) -> Code:
     return Code(tuple(sorted(sequence[c - 1] for c in code)))
 
 
-def prefix_permutation(g: Graph, members: Iterable[int]) -> list[int]:
-    """Relabeling permutation that places the given vertices (ascending) at 1..m."""
+def prefix_sequence(g: Graph, members: Iterable[int]) -> list[int]:
+    """Processing sequence of the given vertices in ascending order, then the rest."""
     member_set = set(members)
-    sequence = sorted(member_set) + [v for v in range(1, g.n + 1) if v not in member_set]
-    _check_permutation(sequence, g.n)
-    return permutation_from_sequence(sequence)
+    return sorted(member_set) + [v for v in range(1, g.n + 1) if v not in member_set]

@@ -19,7 +19,7 @@ constructors, so it is all they supply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 from .graph import Code, RunOutcome, TwinFailure
 
@@ -39,7 +39,7 @@ class CoverageState:
 def lex_scan(
     x: list,
     separate: Callable[[int, int], int],
-    covered: Callable[[int], Iterable[int]],
+    lists: tuple[tuple[int, ...], ...],
     add: Callable[[Hashable, int], Hashable],
     *,
     charge: Callable[[int, int, int], None] | None = None,
@@ -48,7 +48,7 @@ def lex_scan(
     """Run the scan over immutable coverage rows x[0..n], where x[0] stays empty.
 
     separate(j, k) returns the smallest vertex covering exactly one of v_j
-    and v_k, or n+1 when there is none; covered(l) lists the vertices 1..n
+    and v_k, or n+1 when there is none; lists[l] lists the vertices 1..n
     that codeword l covers, and add(row, l) returns row with l added.
     charge(j, k, l), if given, sees every step before its insertion: k is the
     matching earlier row (j when there is none) and l the vertex chosen (0
@@ -67,7 +67,7 @@ def lex_scan(
             return TwinFailure(j=j, k=k)
         if l:
             code.append(l)
-            for a in covered(l):
+            for a in lists[l]:
                 row = x[a]
                 x[a] = new = add(row, l)
                 if a < j:  # rows from j on are not indexed yet

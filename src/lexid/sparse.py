@@ -108,7 +108,7 @@ def lex_code_sparse(
     return lex_scan(
         x,
         lambda j, k: _min3_walk(lists[j], lists[k], n)[0],
-        lists.__getitem__,
+        lists,
         lambda row, l: row + (l,),
         charge=None if tally is None else charge,
         observer=None if observer is None else sorted_rows,

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from lexid import (
     Code,
     TwinFailure,
+    apply_sequence,
     bench,
     find_twins,
     greedy_code,
@@ -23,8 +24,7 @@ from lexid import (
     minimum_code,
     nonminimal_grid_fixture,
     path_graph,
-    permute,
-    prefix_permutation,
+    prefix_sequence,
     run_restarts,
 )
 
@@ -109,14 +109,14 @@ def test_criterion_5_prefix_theorems():
         assert len(corpus) == 200
         for g in corpus:
             minimal = minimalize(g, Code(tuple(range(1, g.n + 1))))
-            relabeled = permute(g, prefix_permutation(g, minimal))
+            relabeled = apply_sequence(g, prefix_sequence(g, minimal))
             assert lex_code_dense(relabeled.neighborhood_matrix) == Code(
                 tuple(range(1, len(minimal) + 1))
             )
             members = list(minimal)
             if len(members) < g.n:  # identifying but not minimal
                 members.append(next(v for v in range(1, g.n + 1) if v not in minimal))
-                wider = permute(g, prefix_permutation(g, members))
+                wider = apply_sequence(g, prefix_sequence(g, members))
                 out = lex_code_dense(wider.neighborhood_matrix)
                 assert set(out) <= set(range(1, len(members) + 1))
 

@@ -4,6 +4,7 @@ from lexid import (
     Code,
     Graph,
     TwinFailure,
+    apply_sequence,
     find_twins,
     is_identifying_code,
     lex_code_dense,
@@ -12,8 +13,7 @@ from lexid import (
     minimalize,
     nonminimal_grid_fixture,
     path_graph,
-    permute,
-    prefix_permutation,
+    prefix_sequence,
 )
 from lexid.dense import DenseWorkTally
 
@@ -123,15 +123,13 @@ class TestLexCodeDense:
             members = list(out)
             if len(members) < g.n:
                 members.append(next(v for v in range(1, g.n + 1) if v not in out))
-            p = prefix_permutation(g, members)
-            rerun = dense(permute(g, p))
+            rerun = dense(apply_sequence(g, prefix_sequence(g, members)))
             assert set(rerun) <= set(range(1, len(members) + 1))
 
     def test_minimal_prefix_returned_exactly(self):
         for g in twin_free_corpus()[:60]:
             minimal = minimalize(g, Code(tuple(range(1, g.n + 1))))
-            p = prefix_permutation(g, minimal)
-            rerun = dense(permute(g, p))
+            rerun = dense(apply_sequence(g, prefix_sequence(g, minimal)))
             assert rerun == Code(tuple(range(1, len(minimal) + 1)))
 
     def test_tally_deterministic_and_inert(self):

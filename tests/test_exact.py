@@ -7,6 +7,7 @@ from lexid import (
     Graph,
     TwinFailure,
     TwinsError,
+    apply_sequence,
     find_twins,
     greedy_code,
     is_identifying_code,
@@ -15,8 +16,7 @@ from lexid import (
     minimum_code,
     nonminimal_grid_fixture,
     path_graph,
-    permute,
-    prefix_permutation,
+    prefix_sequence,
 )
 
 from corpus import small_corpus, twin_free_corpus
@@ -131,6 +131,6 @@ class TestCardinalityChain:
         # any minimal code, sorted to the front of the ordering, is the output
         for g in twin_free_corpus()[:40]:
             minimal = minimalize(g, Code(tuple(range(1, g.n + 1))))
-            p = prefix_permutation(g, minimal)
-            rerun = lex_code_dense(permute(g, p).neighborhood_matrix)
+            sequence = prefix_sequence(g, minimal)
+            rerun = lex_code_dense(apply_sequence(g, sequence).neighborhood_matrix)
             assert rerun == Code(tuple(range(1, len(minimal) + 1)))

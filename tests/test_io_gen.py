@@ -310,7 +310,7 @@ class TestFixture:
 
     def test_vertex_three_neighborhood(self):
         g = nonminimal_grid_fixture()
-        assert g.neighborhood_matrix.support(3) == (2, 3, 4, 7, 8)
+        assert g.neighborhood_array.neighborhood(3) == (2, 3, 4, 7, 8)
 
     def test_twin_free(self):
         assert find_twins(nonminimal_grid_fixture()) is None

@@ -13,14 +13,12 @@ from lexid import (
     code_to_original,
     derive_seed,
     gnp_graph,
-    inverse_permutation,
     is_identifying_code,
     lex_code_dense,
     lex_code_sparse,
     nonminimal_grid_fixture,
     path_graph,
-    permutation_from_sequence,
-    prefix_permutation,
+    prefix_sequence,
     run_restarts,
 )
 
@@ -115,17 +113,11 @@ class TestOrderingStrategy:
 
 
 class TestPermutationPlumbing:
-    def test_sequence_permutation_roundtrip(self):
-        seq = [3, 1, 4, 2]
-        p = permutation_from_sequence(seq)
-        assert p == [2, 4, 1, 3]  # vertex 3 becomes 1, vertex 1 becomes 2, ...
-        assert inverse_permutation(p) == seq
-
-    def test_prefix_permutation_places_members_first(self):
+    def test_prefix_sequence_places_members_first(self):
         g = path_graph(5)
-        p = prefix_permutation(g, [4, 2])
-        assert p[1] == 1 and p[3] == 2  # vertices 2 and 4 land on 1 and 2
-        assert sorted(p) == [1, 2, 3, 4, 5]
+        sequence = prefix_sequence(g, [4, 2])
+        assert sequence == [2, 4, 1, 3, 5]  # vertices 2 and 4 land on 1 and 2
+        assert apply_sequence(g, sequence).edges == frozenset({(1, 3), (1, 4), (2, 4), (2, 5)})
 
     def test_relabeled_code_maps_back_to_identifying_code(self):
         for i, g in enumerate(twin_free_corpus()[:40]):
@@ -184,7 +176,7 @@ class TestRunRestarts:
         assert report.best_code == expected
         assert isinstance(expected, Code)
 
-    def test_permuted_runs_agree_with_direct_permute(self):
+    def test_reordered_runs_agree_with_apply_sequence(self):
         for i, g in enumerate(twin_free_corpus()[::20]):
             seq = OrderingStrategy("random").sequence_for(g, SplitMix64(i))
             report = run_restarts(g, seq, restarts=1)
