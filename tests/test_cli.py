@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
+import lexid.restarts
 from lexid import (
     ClosedNeighborhoodMatrix,
     gnp_graph,
+    lex_code_sparse,
     nonminimal_grid_fixture,
     parse_edge_list,
     path_graph,
@@ -285,8 +288,28 @@ class TestRestartsCommand:
     def test_twins_exit_two(self, k2_file):
         assert main(["restarts", "--restarts", "3", k2_file]) == 2
 
-    def test_zero_restarts_usage_error(self, p3_file):
+    def test_zero_restarts_usage_error(self, p3_file, capsys):
         assert main(["restarts", "--restarts", "0", p3_file]) == 1
+        assert capsys.readouterr().err == "lexid: error: restarts must be >= 1, got 0\n"
+
+    def test_a_worker_that_dies_exits_one(self, fixture_file, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def construct(array):
+            if os.getpid() != parent:
+                os._exit(3)
+            return lex_code_sparse(array)
+
+        monkeypatch.setattr(lexid.restarts, "MIN_BLOCK", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
+        assert main(["restarts", "--restarts", "4", fixture_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lexid: error: restart worker ")
+        assert captured.err.endswith(" ended without a result (exit code 3)\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestBenchCommand:

@@ -1,5 +1,8 @@
+import os
+import time
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lexid.restarts
@@ -12,6 +15,7 @@ from lexid import (
     apply_sequence,
     code_to_original,
     derive_seed,
+    find_twins,
     gnp_graph,
     is_identifying_code,
     lex_code_dense,
@@ -22,8 +26,34 @@ from lexid import (
     run_restarts,
 )
 
-from corpus import twin_free_corpus
+from corpus import graphs, twin_free_corpus
 from oracles import reference_shuffle
+
+
+def allow_workers(monkeypatch, cpus):
+    """Let run_restarts use `cpus` workers, one block per restart at least; returns the forked pids."""
+    monkeypatch.setattr(lexid.restarts, "MIN_BLOCK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def in_children(parent, action):
+    """A stand-in for lex_code_sparse that runs `action` in forked children only."""
+    def construct(array):
+        if os.getpid() != parent:
+            action()
+        return lex_code_sparse(array)
+    return construct
 
 
 class TestSplitMix64:
@@ -153,6 +183,11 @@ class TestRunRestarts:
         with pytest.raises(ValueError, match="restarts"):
             run_restarts(path_graph(3), "random", restarts=0, seed=0)
 
+    @pytest.mark.parametrize("restarts", [True, False, 2.0, "3", None])
+    def test_non_int_restart_counts_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts must be an int"):
+            run_restarts(path_graph(3), "random", restarts=restarts, seed=0)
+
     def test_report_invariants(self):
         g = nonminimal_grid_fixture()
         report = run_restarts(g, "random", restarts=20, seed=5)
@@ -186,21 +221,23 @@ class TestRunRestarts:
 
     def test_restarts_build_no_graph(self, monkeypatch):
         g = gnp_graph(64, 0.1, 7)
-        built = []
-        init = Graph.__init__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(args)
-            init(self, *args, **kwargs)
+        def refusing_init(self, *args, **kwargs):
+            # raising, not counting: a count kept in a forked child never reaches this process
+            raise AssertionError("a restart built a Graph")
 
-        monkeypatch.setattr(Graph, "__init__", counting_init)
-        report = run_restarts(g, "random", restarts=50)
-        assert len(report.cardinalities) == 50
-        assert built == []
-        apply_sequence(g, list(range(1, g.n + 1)))  # the counter does see a rebuild
-        assert len(built) == 1
+        monkeypatch.setattr(Graph, "__init__", refusing_init)
+        for cpus in (1, 2):
+            with monkeypatch.context() as patch:
+                forks = allow_workers(patch, cpus)
+                report = run_restarts(g, "random", restarts=50)
+            assert len(report.cardinalities) == 50
+            assert len(forks) == cpus - 1
+        with pytest.raises(AssertionError, match="built a Graph"):
+            apply_sequence(g, list(range(1, g.n + 1)))  # the patch does see a rebuild
 
     def test_maps_back_only_on_a_strict_improvement(self, monkeypatch):
+        # only the batch's first strictly smallest code is mapped back, once
         calls = []
         map_back = lexid.restarts.code_to_original
 
@@ -209,13 +246,15 @@ class TestRunRestarts:
             return map_back(code, sequence)
 
         monkeypatch.setattr(lexid.restarts, "code_to_original", counting_map_back)
-        report = run_restarts(gnp_graph(128, 0.1, derive_seed(0, 128)), "random", 200, 0)
-        improvements = [
-            size for i, size in enumerate(report.cardinalities)
-            if i == 0 or size < min(report.cardinalities[:i])
-        ]
-        assert calls == improvements
-        assert len(calls) < 200
+        g = gnp_graph(128, 0.1, derive_seed(0, 128))
+        for cpus in (1, 2):
+            calls.clear()
+            with monkeypatch.context() as patch:
+                forks = allow_workers(patch, cpus)
+                report = run_restarts(g, "random", 200, 0)
+            assert len(forks) == cpus - 1
+            assert report.cardinalities[:3] == (33, 30, 28)  # each improves on the ones before
+            assert calls == [report.best_cardinality]
 
     def test_ties_keep_the_first_restart_at_the_minimum(self):
         # the pinned fixture batch (tests/test_restart_pins.py) reaches its
@@ -230,3 +269,95 @@ class TestRunRestarts:
             codes.append(code_to_original(outcome, sequence))
         assert len(set(codes)) > 1
         assert report.best_code == codes[0]
+
+
+class TestRestartBlocks:
+    """Blocks 1..W-1 of a batch run in forked children; the report must not show it."""
+
+    INSTANCES = {
+        "gnp128": lambda: gnp_graph(128, 0.1, derive_seed(0, 128)),
+        "fixture": nonminimal_grid_fixture,
+    }
+
+    @staticmethod
+    def same_report(report, reference):
+        assert report.strategy == reference.strategy
+        assert report.cardinalities == reference.cardinalities
+        assert report.seeds == reference.seeds
+        assert report.best_code == reference.best_code
+        assert report.best_cardinality == reference.best_cardinality
+        assert len(report.elapsed_seconds) == len(reference.elapsed_seconds)
+
+    # 20 is the pinned batch size; 7 is divisible by none of 2, 3 and 5; 3 < 5
+    @pytest.mark.parametrize("strategy, restarts", [("random", 20), ("random", 7),
+                                                    ("random", 3), ("degree-desc", 3)])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_report_is_the_same_for_any_worker_count(self, monkeypatch, name, strategy, restarts):
+        g = self.INSTANCES[name]()
+        serial = run_restarts(g, strategy, restarts, seed=0)
+        for cpus in (1, 2, 3, 5):
+            with monkeypatch.context() as patch:
+                forks = allow_workers(patch, cpus)
+                report = run_restarts(g, strategy, restarts, seed=0)
+            assert len(forks) == min(cpus, restarts) - 1
+            self.same_report(report, serial)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graphs(max_n=10), st.integers(1, 9), st.integers(0, 2**64 - 1), st.sampled_from([2, 3, 5]))
+    def test_report_is_the_same_for_any_worker_count_on_twin_free_graphs(self, g, restarts, seed, cpus):
+        assume(find_twins(g) is None)
+        serial = run_restarts(g, "random", restarts, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            forks = allow_workers(patch, cpus)
+            report = run_restarts(g, "random", restarts, seed)
+        assert len(forks) == min(cpus, restarts) - 1
+        self.same_report(report, serial)
+
+    def test_small_batches_stay_in_process(self, monkeypatch):
+        min_block = lexid.restarts.MIN_BLOCK
+        forks = allow_workers(monkeypatch, 2)
+        monkeypatch.setattr(lexid.restarts, "MIN_BLOCK", min_block)
+        run_restarts(nonminimal_grid_fixture(), "random", 20, seed=0)
+        assert forks == []
+        run_restarts(nonminimal_grid_fixture(), "random", 2 * lexid.restarts.MIN_BLOCK, seed=0)
+        assert len(forks) == 1
+
+    def test_a_child_exception_reaches_the_caller(self, monkeypatch):
+        forks = allow_workers(monkeypatch, 3)
+
+        def fail():
+            raise KeyError(f"block failed in worker {os.getpid()}")
+
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", in_children(os.getpid(), fail))
+        with pytest.raises(KeyError) as info:
+            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
+        assert info.value.args == (f"block failed in worker {forks[0]}",)  # block 1 fails first
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_child_that_exits_mid_block_raises_child_process_error(self, monkeypatch):
+        allow_workers(monkeypatch, 3)
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", in_children(os.getpid(), lambda: os._exit(3)))
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("interrupt", [ValueError, KeyboardInterrupt])
+    def test_the_callers_failure_kills_the_children(self, monkeypatch, interrupt):
+        # the children would sleep for 30 s; the caller's block fails at once
+        allow_workers(monkeypatch, 3)
+        parent = os.getpid()
+
+        def construct(array):
+            if os.getpid() == parent:
+                raise interrupt("caller's block failed")
+            time.sleep(30)
+
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
+        start = time.perf_counter()
+        with pytest.raises(interrupt, match="caller's block failed"):
+            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
+        assert time.perf_counter() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
