@@ -255,6 +255,13 @@ class TestGenCommand:
         assert main(["gen", "fixture"]) == 0
         assert parse_edge_list(capsys.readouterr().out) == nonminimal_grid_fixture()
 
+    def test_only_seeded_families_read_the_seed_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("LEXID_SEED", "zz")
+        assert main(["gen", "fixture"]) == 0
+        assert parse_edge_list(capsys.readouterr().out) == nonminimal_grid_fixture()
+        assert main(["gen", "path", "3"]) == 1
+        assert capsys.readouterr().err == "lexid: error: LEXID_SEED must be an integer, got 'zz'\n"
+
     def test_dimacs_output(self, capsys):
         assert main(["gen", "path", "3", "--output-format", "dimacs"]) == 0
         assert capsys.readouterr().out.startswith("p edge 3 2")
@@ -478,6 +485,24 @@ class TestUsageErrors:
 
     def test_explicit_ordering_without_perm(self, p3_file):
         assert main(["code", "--ordering", "explicit", p3_file]) == 1
+
+    @pytest.mark.parametrize("argv, env_seed, message", [
+        (["verify", "--code", ", ,"], None, "empty code argument"),
+        (["minimalize", "--code", "2,x"], None, "code must be a list of integers, got '2,x'"),
+        (["code", "--ordering", "explicit", "--perm", "1,x"], None,
+         "permutation must be a list of integers, got '1,x'"),
+        (["restarts", "--ordering", "explicit", "--perm", "1 2.0 3"], None,
+         "permutation must be a list of integers, got '1 2.0 3'"),
+        (["code", "--ordering", "random"], "zz", "LEXID_SEED must be an integer, got 'zz'"),
+        (["restarts"], "1.5", "LEXID_SEED must be an integer, got '1.5'"),
+    ])
+    def test_bad_argument_message(self, p3_file, capsys, monkeypatch, argv, env_seed, message):
+        if env_seed is not None:
+            monkeypatch.setenv("LEXID_SEED", env_seed)
+        assert main(argv + [p3_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lexid: error: {message}\n"
 
     def test_out_of_memory_is_a_clean_exit_one(self, p3_file, capsys, monkeypatch):
         def exhausted(text, fmt):

@@ -112,6 +112,12 @@ class TestParseDimacs:
         ("c x\np edge 3 1\ne 2 2", "line 3: self-loop at vertex 2"),
         ("p edge 3 1\ne 4 1", "line 2: edge (4, 1) has an endpoint outside 1..3"),
         ("p edge 3 2\ne 1 2\ne 2 1", "line 3: duplicate edge (1, 2)"),
+        ("3", "line 1: header must be 'n m', got '3'"),
+        ("3 1\n1 2 3", "line 2: edge line must be 'u v', got '1 2 3'"),
+        ("c x\nc y", "missing 'p edge n m' problem line"),
+        ("c x\nq 1 2", "line 2: unknown line type 'q'"),
+        ("p edge 3", "line 1: problem line must be 'p edge n m', got 'p edge 3'"),
+        ("p edge 3 1\ne 1", "line 2: edge line must be 'e u v', got 'e 1'"),
     ],
 )
 def test_shared_checks_report_exact_message_and_line(text, message):
