@@ -38,7 +38,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, else $LEXID_SEED, else 0."""
+    if args.seed is not None:
+        return args.seed
     raw = os.environ.get(ENV_SEED)
     if raw is None:
         return 0
@@ -66,14 +69,18 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     return parse_graph(text, args.input_format)
 
 
-def _parse_code_arg(raw: str) -> tuple[int, ...]:
-    tokens = raw.replace(",", " ").split()
-    if not tokens:
-        raise ValueError("empty code argument")
+def _int_list(raw: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma- or space-separated list; `what` names it in the error."""
     try:
-        members = tuple(int(t) for t in tokens)
+        return tuple(int(t) for t in raw.replace(",", " ").split())
     except ValueError:
-        raise ValueError(f"code must be a list of integers, got {raw!r}") from None
+        raise ValueError(f"{what} must be a list of integers, got {raw!r}") from None
+
+
+def _parse_code_arg(raw: str) -> tuple[int, ...]:
+    members = _int_list(raw, "code")
+    if not members:
+        raise ValueError("empty code argument")
     return tuple(sorted(set(members)))
 
 
@@ -81,17 +88,10 @@ def _strategy_from_args(args: argparse.Namespace) -> OrderingStrategy:
     if args.ordering == "explicit":
         if args.perm is None:
             raise ValueError("--ordering explicit requires --perm")
-        return OrderingStrategy("explicit", _parse_perm_arg(args.perm))
+        return OrderingStrategy("explicit", _int_list(args.perm, "permutation"))
     if args.perm is not None:
         raise ValueError("--perm only applies with --ordering explicit")
     return OrderingStrategy(args.ordering)
-
-
-def _parse_perm_arg(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in raw.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"permutation must be a list of integers, got {raw!r}") from None
 
 
 def _print_code(code: Code) -> None:
@@ -99,16 +99,18 @@ def _print_code(code: Code) -> None:
     print(code.cardinality)
 
 
-def _twins_exit(pair: tuple[int, int]) -> int:
-    print(f"error: graph is not twin-free (twins {pair[0]} {pair[1]})", file=sys.stderr)
-    return EXIT_TWINS
+def _write(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_code(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     algorithm = "dense" if args.dense else "sparse"
     strategy = _strategy_from_args(args)
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)  # read under every ordering, so a bad LEXID_SEED fails any code run
     array = g.neighborhood_array
     if strategy.kind == "identity":
         sequence = list(range(1, g.n + 1))
@@ -119,25 +121,17 @@ def _cmd_code(args: argparse.Namespace) -> int:
         outcome = lex_code_dense(ClosedNeighborhoodMatrix(array))
     else:
         outcome = lex_code_sparse(array)
+    header = {"schema": 1, "n": g.n, "algorithm": algorithm, "ordering": strategy.kind}
     if isinstance(outcome, TwinFailure):
         pair = tuple(sorted((sequence[outcome.k - 1], sequence[outcome.j - 1])))
-        if args.json:
-            print(json.dumps({
-                "schema": 1,
-                "n": g.n,
-                "algorithm": algorithm,
-                "ordering": strategy.kind,
-                "twins": list(pair),
-            }))
-            return EXIT_TWINS
-        return _twins_exit(pair)
+        if not args.json:
+            raise TwinsError(pair)
+        print(json.dumps({**header, "twins": list(pair)}))
+        return EXIT_TWINS
     code = code_to_original(outcome, sequence)
     if args.json:
         print(json.dumps({
-            "schema": 1,
-            "n": g.n,
-            "algorithm": algorithm,
-            "ordering": strategy.kind,
+            **header,
             "code": list(code),
             "cardinality": code.cardinality,
             "verified": is_identifying_code(g, code),
@@ -168,11 +162,7 @@ def _cmd_twins(args: argparse.Namespace) -> int:
 
 def _cmd_minimum(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    try:
-        result = minimum_code(g, max_vertices=args.max_n)
-    except TwinsError as exc:
-        return _twins_exit(exc.pair)
-    _print_code(result.code)
+    _print_code(minimum_code(g, max_vertices=args.max_n).code)
     return EXIT_OK
 
 
@@ -187,7 +177,7 @@ def _cmd_greedy(args: argparse.Namespace) -> int:
     g = _read_graph(args)
     outcome = greedy_code(g)
     if isinstance(outcome, TwinFailure):
-        return _twins_exit(outcome.pair)
+        raise TwinsError(outcome.pair)
     _print_code(outcome)
     return EXIT_OK
 
@@ -198,24 +188,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("family 'fixture' takes no parameters")
         g = nonminimal_grid_fixture()
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
-        g = gen(args.family, args.params, seed)
-    text = to_dimacs(g) if args.output_format == "dimacs" else to_edge_list(g)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        g = gen(args.family, args.params, _seed(args))
+    _write(to_dimacs(g) if args.output_format == "dimacs" else to_edge_list(g), args.output)
     return EXIT_OK
 
 
 def _cmd_restarts(args: argparse.Namespace) -> int:
     g = _read_graph(args)
-    strategy = _strategy_from_args(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        report = run_restarts(g, strategy, args.restarts, seed)
-    except TwinsError as exc:
-        return _twins_exit(exc.pair)
+    report = run_restarts(g, _strategy_from_args(args), args.restarts, _seed(args))
     print(f"strategy: {report.strategy}")
     print(f"restarts: {len(report.cardinalities)}")
     print("best: " + " ".join(str(v) for v in report.best_code))
@@ -233,13 +213,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for family in families:
         if family not in FAMILIES:
             raise ValueError(f"unknown bench family {family!r}; choose from {', '.join(FAMILIES)}")
-    seed = args.seed if args.seed is not None else _default_seed()
-    report = bench(families, sizes, repetitions=args.reps, seed=seed, gnp_p=args.gnp_p)
-    text = report.to_csv()
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    report = bench(families, sizes, repetitions=args.reps, seed=_seed(args), gnp_p=args.gnp_p)
+    _write(report.to_csv(), args.output)
     return EXIT_OK
 
 
@@ -323,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         # point stdout at devnull so interpreter shutdown does not re-raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, the shell convention
+    except TwinsError as exc:  # before ValueError, its base class
+        print(f"error: graph is not twin-free (twins {exc.pair[0]} {exc.pair[1]})", file=sys.stderr)
+        return EXIT_TWINS
     except ParseError as exc:
         print(f"lexid: parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,11 @@
 """Random-restart search for small identifying codes.
 
 Each restart relabels the neighborhood array to a new vertex order (no new
-Graph) and runs the sparse constructor.  Restart i draws its ordering from a
-generator seeded with derive_seed(seed, i), so reports are reproducible and
-the first r restarts never depend on the total count.
+Graph) and runs the sparse constructor.  Under the random ordering, restart i
+draws its order from a generator seeded with derive_seed(seed, i), so reports
+are reproducible and the first r restarts never depend on the total count;
+every other ordering gives all restarts one order, built (and checked) once
+per batch before any fork.  The caller derives the reported seeds itself.
 
 Restarts are independent, so run_restarts splits the indices 0..R-1 into W
 contiguous blocks and runs one block loop over them: block 0 in the caller,
@@ -54,10 +56,10 @@ class RestartReport:
     elapsed_seconds: tuple[float, ...]
 
 
-# (cardinalities, seeds, elapsed seconds, the first strictly smallest
-# (relabeled code members, sequence)) of the restarts lo..hi-1; marshal
-# sends it through a pipe, so it holds only builtin types
-_Block = tuple[list[int], list[int], list[float], tuple[tuple[int, ...], list[int]]]
+# (cardinalities, elapsed seconds, the first strictly smallest (relabeled
+# code members, sequence)) of the restarts lo..hi-1; marshal sends it
+# through a pipe, so it holds only builtin types
+_Block = tuple[list[int], list[float], tuple[tuple[int, ...], list[int]]]
 
 
 def run_restarts(
@@ -81,36 +83,34 @@ def run_restarts(
     if twins is not None:
         raise TwinsError(twins)
     array = g.neighborhood_array
+    fixed = None if strategy.kind == "random" else strategy.sequence_for(g)
 
     def run_block(lo: int, hi: int) -> _Block:
         best: tuple[tuple[int, ...], list[int]] | None = None
         cardinalities: list[int] = []
-        seeds: list[int] = []
         elapsed: list[float] = []
         for i in range(lo, hi):
-            restart_seed = derive_seed(seed, i)
             start = time.perf_counter()
-            sequence = strategy.sequence_for(g, SplitMix64(restart_seed))
+            sequence = fixed or strategy.sequence_for(g, SplitMix64(derive_seed(seed, i)))
             outcome = lex_code_sparse(array.relabel(sequence))
             assert isinstance(outcome, Code)  # twin-freeness is permutation-invariant
             if best is None or len(outcome) < len(best[0]):
                 best = outcome.members, sequence  # ties keep the first
             elapsed.append(time.perf_counter() - start)
             cardinalities.append(len(outcome))
-            seeds.append(restart_seed)
-        return cardinalities, seeds, elapsed, best
+        return cardinalities, elapsed, best
 
     workers = _worker_count(restarts)
     blocks = _run_blocks(run_block, [restarts * k // workers for k in range(workers + 1)])
-    members, sequence = min((block[3] for block in blocks), key=lambda best: len(best[0]))
+    members, sequence = min((block[2] for block in blocks), key=lambda best: len(best[0]))
     best_code = code_to_original(Code(members), sequence)  # min keeps the first block at the minimum
     return RestartReport(
         strategy=strategy.kind,
         best_code=best_code,
         best_cardinality=best_code.cardinality,
         cardinalities=tuple(size for block in blocks for size in block[0]),
-        seeds=tuple(s for block in blocks for s in block[1]),
-        elapsed_seconds=tuple(t for block in blocks for t in block[2]),
+        seeds=tuple(derive_seed(seed, i) for i in range(restarts)),
+        elapsed_seconds=tuple(t for block in blocks for t in block[1]),
     )
 
 

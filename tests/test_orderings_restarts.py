@@ -322,6 +322,31 @@ class TestRestartBlocks:
         run_restarts(nonminimal_grid_fixture(), "random", 2 * lexid.restarts.MIN_BLOCK, seed=0)
         assert len(forks) == 1
 
+    def test_an_invalid_explicit_sequence_fails_before_any_fork(self, monkeypatch):
+        g = nonminimal_grid_fixture()
+        with pytest.raises(ValueError) as serial:
+            run_restarts(g, (1, 2, 3), 1, seed=0)
+        forks = allow_workers(monkeypatch, 2)
+        with pytest.raises(ValueError) as info:
+            run_restarts(g, (1, 2, 3), 8, seed=0)
+        assert str(info.value) == str(serial.value) == "not a permutation of 1..9: (1, 2, 3)"
+        assert forks == []
+
+    @pytest.mark.parametrize("strategy", ["identity", "degree-asc", "degree-desc", (9, 8, 7, 6, 5, 4, 3, 2, 1)])
+    def test_a_non_random_ordering_is_built_once_per_batch(self, monkeypatch, strategy):
+        calls = []
+        sequence_for = OrderingStrategy.sequence_for
+
+        def counting_sequence_for(self, g, rng=None):
+            calls.append(self.kind)
+            return sequence_for(self, g, rng)
+
+        monkeypatch.setattr(OrderingStrategy, "sequence_for", counting_sequence_for)
+        report = run_restarts(nonminimal_grid_fixture(), strategy, 20, seed=0)
+        assert len(calls) == 1
+        assert len(set(report.cardinalities)) == 1
+        assert report.seeds == tuple(derive_seed(0, i) for i in range(20))
+
     def test_a_child_exception_reaches_the_caller(self, monkeypatch):
         forks = allow_workers(monkeypatch, 3)
 
