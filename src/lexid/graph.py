@@ -8,48 +8,65 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import eq, itemgetter, lt
 from typing import Hashable, Iterable, Sequence, Union
 
 
-@dataclass(frozen=True)
+class EdgeError(ValueError):
+    """An edge rule broken by the pair at `index` of the edges given to Graph."""
+
+    def __init__(self, message: str, index: int) -> None:
+        self.index = index
+        super().__init__(message)
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph on vertices 1..n.
 
-    Edges are stored canonically as a frozenset of (u, v) pairs with u < v.
-    The constructor accepts any iterable of pairs of `int` (a `bool` is not a
+    The edges are stored once, as the tuple `pairs` of (u, v) with u < v in the
+    order given; `edges` is their frozenset, built on first use.  The
+    constructor accepts any iterable of pairs of `int` (a `bool` is not a
     vertex) and rejects self-loops, out-of-range endpoints, and duplicate edges
-    (in either orientation). It is the package's only edge validator: it draws
-    one pair at a time, so the parsers stream their edges into it and the first
-    fault in file order is the one reported.  The sorted lists are the one view
-    built from the edges; the bit matrix is derived from them.
+    (in either orientation).  It is the package's only edge validator.  It
+    checks all pairs at once; only when a check fails does one walk over the
+    pairs find the first faulty one, raising EdgeError with its message and
+    index.  Nothing sized by n is allocated before a view is asked for.  The
+    sorted lists are the one view built from the edges; the bit matrix is
+    derived from them.
     """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        canonical: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside 1..{n}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in canonical:
-                raise ValueError(f"duplicate edge ({pair[0]}, {pair[1]})")
-            canonical.add(pair)
+        items = edges if isinstance(edges, (list, tuple)) else list(edges)
+        pairs = _checked_pairs(n, items)
+        if pairs is None:
+            raise _first_fault(n, items)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(canonical))
+        object.__setattr__(self, "pairs", pairs)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Degree of each vertex; index 0 is unused padding."""
         deg = [0] * (self.n + 1)
-        for u, v in self.edges:
+        for u, v in self.pairs:
             deg[u] += 1
             deg[v] += 1
         return tuple(deg)
@@ -66,14 +83,14 @@ class Graph:
     @cached_property
     def neighborhood_array(self) -> NeighborhoodArray:
         """Sorted-list view: entry j is the ascending tuple of N(v_j)."""
-        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for v in range(1, self.n + 1):
-            adj[v].append(v)
-        for u, v in self.edges:
+        adj = [[v] for v in range(self.n + 1)]
+        adj[0].clear()
+        for u, v in self.pairs:
             adj[u].append(v)
             adj[v].append(u)
-        lists = tuple(() if not members else tuple(sorted(members)) for members in adj)
-        return NeighborhoodArray(self.n, lists)
+        for members in adj:
+            members.sort()
+        return NeighborhoodArray(self.n, tuple(map(tuple, adj)))
 
 
 class ClosedNeighborhoodMatrix:
@@ -234,6 +251,56 @@ def _distinct_nonempty(traces: Iterable[Hashable]) -> bool:
             return False
         seen.add(trace)
     return True
+
+
+def _checked_pairs(n: int, items: Sequence) -> tuple[tuple[int, int], ...] | None:
+    """The items as (u, v) tuples with u < v, or None if one breaks an edge rule.
+
+    Every check is one pass in C over all items: unpacking to two ints, no
+    self-loop, endpoints in 1..n, and no pair twice.
+    """
+    try:
+        pairs = list(map(tuple, items))
+    except TypeError:  # an item that is not iterable
+        return None
+    if not pairs:
+        return ()
+    if set(map(len, pairs)) != {2}:
+        return None
+    us = list(map(itemgetter(0), pairs))
+    vs = list(map(itemgetter(1), pairs))
+    if set(map(type, chain(us, vs))) != {int}:
+        return None
+    if not all(map(lt, us, vs)):
+        if any(map(eq, us, vs)):
+            return None
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+        pairs = list(zip(us, vs))
+    if min(us) < 1 or max(vs) > n or len(set(pairs)) != len(pairs):
+        return None
+    return tuple(pairs)
+
+
+def _first_fault(n: int, items: Sequence) -> EdgeError:
+    """The fault of the first item, in order, that breaks an edge rule.
+
+    The rules are checked item by item in the order type, self-loop, range,
+    duplicate; an item that does not unpack to two values raises here as it
+    would in `u, v = item`.
+    """
+    seen: set[tuple[int, int]] = set()
+    for index, (u, v) in enumerate(items):
+        if type(u) is not int or type(v) is not int:
+            return EdgeError(f"edge endpoints must be integers, got ({u!r}, {v!r})", index)
+        if u == v:
+            return EdgeError(f"self-loop at vertex {u}", index)
+        if not (1 <= u <= n and 1 <= v <= n):
+            return EdgeError(f"edge ({u}, {v}) has an endpoint outside 1..{n}", index)
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
+            return EdgeError(f"duplicate edge ({pair[0]}, {pair[1]})", index)
+        seen.add(pair)
+    raise AssertionError("the bulk edge checks failed on valid pairs")
 
 
 def _check_permutation(p: Sequence[int], n: int) -> None:

@@ -8,9 +8,16 @@ indices define the processing order.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from itertools import filterfalse
+from operator import gt
+from typing import Callable
 
-from .graph import Graph
+from .graph import EdgeError, Graph
+
+# a '#' comment line; blank lines are dropped first
+_HASH_COMMENT = re.compile(r"\s*#").match
+# a DIMACS 'c' comment line: 'c' as its first token
+_C_COMMENT = re.compile(r"\s*c(?:\s|$)").match
 
 
 class ParseError(ValueError):
@@ -21,23 +28,34 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-class _Lines:
-    """Numbered significant lines of a text, skipping blank lines and '#' comments.
+def _split_lines(text: str) -> list[str]:
+    """The lines of a text, broken only at LF, CRLF and CR."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
-    Lines break only at LF, CRLF and CR. All iterators share one position, and
-    `number` is the line last drawn.
-    """
 
-    def __init__(self, text: str) -> None:
-        self.number = 0
-        self._raw = enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1)
+def _significant(lines: list[str], start: int) -> list[tuple[int, str]]:
+    """(number, stripped text) of each line that is not blank or a '#' comment;
+    lines[0] is line `start`."""
+    return [(number, line) for number, line in enumerate(map(str.strip, lines), start) if line and line[0] != "#"]
 
-    def __iter__(self) -> Iterator[tuple[int, str]]:
-        for number, raw in self._raw:
-            stripped = raw.strip()
-            if stripped and not stripped.startswith("#"):
-                self.number = number
-                yield number, stripped
+
+def _content(lines: list[str], comments: bool) -> list[str]:
+    """The significant lines, unstripped; '#' comments are looked for only if
+    `comments` says the text has a '#'."""
+    lines = list(filter(str.strip, lines))
+    return list(filterfalse(_HASH_COMMENT, lines)) if comments else lines
+
+
+def _ints(tokens: list[str], n: int) -> list[int]:
+    """int() of every token; when there are more tokens than labels 0..n, the
+    labels are looked up in a table of their decimal strings."""
+    if n < len(tokens):
+        table = dict(zip(map(str, range(n + 1)), range(n + 1)))
+        try:
+            return list(map(table.__getitem__, tokens))
+        except KeyError:
+            pass
+    return list(map(int, tokens))
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -58,21 +76,45 @@ def _parse_counts(n_token: str, m_token: str, line: int) -> tuple[int, int]:
     return n, m
 
 
-def _graph(n: int, m: int, edges: Iterator[tuple[int, int]], lines: _Lines, header: str) -> Graph:
-    """Graph(n, edges), which must have the m edges its header declares.
+# Per-line rules of the lines after a header: walk(significant lines, pairs,
+# numbers) appends each edge and its line number in turn and raises the first
+# ParseError.
+_Walk = Callable[[list[tuple[int, str]], list[tuple[int, int]], list[int]], None]
 
-    Graph checks the edge rules as it draws each edge, so its ValueError is
-    re-raised at the line just drawn; a ParseError from `edges` passes through.
+
+def _graph(n: int, m: int, pairs: list[tuple[int, int]] | None, body: list[str], start: int,
+           walk: _Walk, header: str) -> Graph:
+    """Graph(n, pairs), which must have the m edges its header declares.
+
+    `pairs` holds the edges of `body`, the lines from line `start` on, or is
+    None when their bulk parse failed.  On any fault, `walk` runs the per-line
+    rules over the significant lines of `body`, so the first fault in file
+    order is the one raised: Graph checks the pairs before the first line fault
+    first, and its EdgeError is raised at the line of the faulty pair.  A count
+    mismatch is raised at the last significant line.
     """
+    if pairs is not None:
+        try:
+            g = Graph(n, pairs)
+        except EdgeError:
+            pass
+        else:
+            if len(pairs) == m:
+                return g
+    significant = _significant(body, start)
+    pairs, numbers, fault = [], [], None
     try:
-        g = Graph(n, edges)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), lines.number) from None
-    if len(g.edges) != m:
-        raise ParseError(f"{header} declares {m} edges but {len(g.edges)} found", lines.number)
-    return g
+        walk(significant, pairs, numbers)
+    except ParseError as exc:
+        fault = exc
+    try:
+        Graph(n, pairs)
+    except EdgeError as exc:
+        raise ParseError(str(exc), numbers[exc.index]) from None
+    if fault is not None:
+        raise fault
+    last = significant[-1][0] if significant else start - 1
+    raise ParseError(f"{header} declares {m} edges but {len(pairs)} found", last)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -80,20 +122,38 @@ def parse_edge_list(text: str) -> Graph:
 
     Blank lines and lines starting with '#' are ignored anywhere.
     """
-    lines = _Lines(text)
-    for number, line in lines:
-        break
+    lines = _split_lines(text)
+    for number, line in enumerate(map(str.strip, lines), 1):
+        if line and line[0] != "#":
+            break
     else:
         raise ParseError("missing 'n m' header line")
     tokens = line.split()
     if len(tokens) != 2:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
-    return _graph(n, m, _edge_list_edges(lines, m), lines, "header")
+    body = lines[number:]
+    return _graph(n, m, _edge_list_pairs(_content(body, "#" in text), n, m), body, number + 1,
+                  lambda significant, pairs, numbers: _edge_list_walk(significant, pairs, numbers, m), "header")
 
 
-def _edge_list_edges(lines: _Lines, m: int) -> Iterator[tuple[int, int]]:
-    for count, (number, line) in enumerate(lines):
+def _edge_list_pairs(lines: list[str], n: int, m: int) -> list[tuple[int, int]] | None:
+    """The edges of the significant lines after the header, or None if one breaks a line rule."""
+    if len(lines) > m or set(map(len, map(str.split, lines))) - {2}:
+        return None
+    try:
+        ends = _ints(" ".join(lines).split(), n)
+    except ValueError:
+        return None
+    us, vs = ends[0::2], ends[1::2]
+    if any(map(gt, us, vs)):
+        return None
+    return list(zip(us, vs))
+
+
+def _edge_list_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int],
+                    m: int) -> None:
+    for count, (number, line) in enumerate(significant):
         if count == m:
             raise ParseError(f"unexpected extra line after {m} edges: {line!r}", number)
         tokens = line.split()
@@ -103,7 +163,8 @@ def _edge_list_edges(lines: _Lines, m: int) -> Iterator[tuple[int, int]]:
         v = _parse_int(tokens[1], "endpoint", number)
         if u > v:
             raise ParseError(f"edge endpoints must satisfy u < v, got {u} {v}", number)
-        yield u, v
+        pairs.append((u, v))
+        numbers.append(number)
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -112,11 +173,12 @@ def parse_dimacs(text: str) -> Graph:
     Edge endpoints may appear in either order; duplicates (in any orientation)
     and self-loops are rejected.
     """
-    lines = _Lines(text)
-    for number, line in lines:
-        tokens = line.split()
-        if tokens[0] != "c":
-            break
+    lines = _split_lines(text)
+    for number, line in enumerate(map(str.strip, lines), 1):
+        if line and line[0] != "#":
+            tokens = line.split()
+            if tokens[0] != "c":
+                break
     else:
         raise ParseError("missing 'p edge n m' problem line")
     if tokens[0] == "e":
@@ -126,11 +188,29 @@ def parse_dimacs(text: str) -> Graph:
     if len(tokens) != 4 or tokens[1] != "edge":
         raise ParseError(f"problem line must be 'p edge n m', got {line!r}", number)
     n, m = _parse_counts(tokens[2], tokens[3], number)
-    return _graph(n, m, _dimacs_edges(lines), lines, "problem line")
+    body = lines[number:]
+    content = _content(body, "#" in text)
+    pairs = _dimacs_pairs(content, n)
+    if pairs is None and "c" in text:  # perhaps 'c' comments among the edge lines
+        pairs = _dimacs_pairs(list(filterfalse(_C_COMMENT, content)), n)
+    return _graph(n, m, pairs, body, number + 1, _dimacs_walk, "problem line")
 
 
-def _dimacs_edges(lines: _Lines) -> Iterator[tuple[int, int]]:
-    for number, line in lines:
+def _dimacs_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
+    """The edges of significant lines that are all 'e u v' lines, or None."""
+    tokens = " ".join(lines).split()
+    if set(map(len, map(str.split, lines))) - {3} or set(tokens[0::3]) - {"e"}:
+        return None
+    del tokens[0::3]
+    try:
+        ends = _ints(tokens, n)
+    except ValueError:
+        return None
+    return list(zip(ends[0::2], ends[1::2]))
+
+
+def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int]) -> None:
+    for number, line in significant:
         tokens = line.split()
         kind = tokens[0]
         if kind == "c":
@@ -143,20 +223,21 @@ def _dimacs_edges(lines: _Lines) -> Iterator[tuple[int, int]]:
             raise ParseError(f"edge line must be 'e u v', got {line!r}", number)
         u = _parse_int(tokens[1], "endpoint", number)
         v = _parse_int(tokens[2], "endpoint", number)
-        yield u, v
+        pairs.append((u, v))
+        numbers.append(number)
 
 
 def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format with edges sorted lexicographically."""
-    lines = [f"{g.n} {len(g.edges)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    lines = [f"{g.n} {len(g.pairs)}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.pairs))
     return "\n".join(lines) + "\n"
 
 
 def to_dimacs(g: Graph) -> str:
     """Serialize to DIMACS format with edges sorted lexicographically."""
-    lines = [f"p edge {g.n} {len(g.edges)}"]
-    lines.extend(f"e {u} {v}" for u, v in sorted(g.edges))
+    lines = [f"p edge {g.n} {len(g.pairs)}"]
+    lines.extend(f"e {u} {v}" for u, v in sorted(g.pairs))
     return "\n".join(lines) + "\n"
 
 

@@ -68,7 +68,8 @@ def apply_sequence(g: Graph, sequence: Sequence[int]) -> Graph:
     label = [0] * (g.n + 1)  # label[v] is the new label of old vertex v
     for i, v in enumerate(sequence, 1):
         label[v] = i
-    return Graph(g.n, ((label[u], label[v]) for u, v in g.edges))
+    pairs = ((label[u], label[v]) for u, v in g.pairs)
+    return Graph(g.n, [(a, b) if a < b else (b, a) for a, b in pairs])  # canonical, so Graph keeps them
 
 
 def code_to_original(code: Code, sequence: Sequence[int]) -> Code:

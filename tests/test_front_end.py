@@ -1,13 +1,14 @@
 """The parsers and Graph against the streaming reference front end, and the
 front end's cost: no allocation sized by n before a view, and no per-edge calls."""
 
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexid import Graph, ParseError, parse_graph
+from lexid import Graph, ParseError, gnp_graph, parse_graph, to_dimacs, to_edge_list
 from lexid.cli import main
 
 from oracles import reference_edge_set, reference_parse_dimacs, reference_parse_edge_list
@@ -180,3 +181,32 @@ def test_minimum_refuses_a_huge_header_before_any_view(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", "lexid: error: exact search refused for n=1000000000 > cap 24; raise max_vertices to force\n"
     )
+
+
+def _python_calls(action) -> int:
+    """Python 'call' events, generator resumes included, while action() runs."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
+def test_the_front_end_makes_no_call_per_edge(serialize):
+    g = gnp_graph(300, 0.2, seed=3)
+    text = serialize(g)
+    m = len(g.edges)
+    assert m > 8000
+    parse_graph(text)  # compiles and caches the module's regular expressions
+    calls = _python_calls(lambda: parse_graph(text).neighborhood_array)
+    assert calls < m / 100

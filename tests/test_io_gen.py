@@ -20,9 +20,11 @@ from lexid import (
     to_dimacs,
     to_edge_list,
 )
-from lexid.graphio import _Lines, detect_format
+from lexid.graph import EdgeError
+from lexid.graphio import detect_format
 
 from corpus import small_corpus
+from oracles import ReferenceLines
 
 FIXTURE_EDGES = {
     (1, 2), (2, 9), (3, 4), (3, 8), (6, 7), (5, 7),
@@ -175,11 +177,9 @@ class TestGraphIsTheEdgeValidator:
             self.n = n
             self.edges = list(edges)
 
-    class FailingOnSecondDraw:
+    class FailingAtIndexOne:
         def __init__(self, n, edges):
-            for drawn, _ in enumerate(edges):
-                if drawn == 1:
-                    raise ValueError("x")
+            raise EdgeError("x", 1)
 
     @pytest.mark.parametrize(
         "text, drawn",
@@ -190,8 +190,8 @@ class TestGraphIsTheEdgeValidator:
         assert parse_graph(text).edges == drawn
 
     @pytest.mark.parametrize("text", ["3 2\n1 2\n2 3", "p edge 3 2\ne 1 2\ne 2 3"])
-    def test_graph_error_is_reported_at_the_line_drawn(self, monkeypatch, text):
-        monkeypatch.setattr(lexid.graphio, "Graph", self.FailingOnSecondDraw)
+    def test_graph_error_is_reported_at_the_line_of_its_index(self, monkeypatch, text):
+        monkeypatch.setattr(lexid.graphio, "Graph", self.FailingAtIndexOne)
         with pytest.raises(ParseError) as info:
             parse_graph(text)
         assert str(info.value) == "line 3: x"
@@ -249,7 +249,7 @@ class TestRoundTrip:
     @settings(max_examples=300)
     @given(st.text(st.sampled_from(["\n", "\r", " ", "#", "c", "p", "e", "1", *NOT_LINE_BREAKS])))
     def test_detection_reads_the_first_significant_line(self, text):
-        first = next((line for _, line in _Lines(text)), "1")
+        first = next((line for _, line in ReferenceLines(text)), "1")
         assert detect_format(text) == ("dimacs" if first.split()[0] in ("c", "p", "e") else "edgelist")
 
     def test_unknown_format_rejected(self):
