@@ -9,7 +9,7 @@ benchmark harness.
 """
 
 from .bench import BenchReport, BenchSample, bench, fit_loglog_slope
-from .dense import DenseWorkTally, lex_code_dense, min1, min2
+from .dense import DenseWorkTally, lex_code_dense, min2
 from .exact import MinimumResult, greedy_code, minimalize, minimum_code
 from .generate import (
     cycle_graph,
@@ -88,7 +88,6 @@ __all__ = [
     "is_identifying_code",
     "lex_code_dense",
     "lex_code_sparse",
-    "min1",
     "min2",
     "min3",
     "minimalize",

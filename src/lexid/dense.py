@@ -22,8 +22,9 @@ class DenseWorkTally:
 
     Whole-row tests (the zero test and each row-equality test of the paper's
     linear search for k) are charged the full row width n, whatever search
-    the code runs; min1/min2 charge one unit per position scanned; inserting
-    a codeword charges n for copying one matrix column.
+    the code runs; finding the new codeword (the first set bit of N(v_j), or
+    min2's first differing bit) charges one unit per position scanned;
+    inserting a codeword charges n for copying one matrix column.
     """
 
     row_comparison_bits: int = 0
@@ -38,11 +39,6 @@ class DenseWorkTally:
 def _lowest_difference(row_j: int, row_k: int, n: int) -> int:
     diff = row_j ^ row_k
     return (diff & -diff).bit_length() or n + 1
-
-
-def min1(b: ClosedNeighborhoodMatrix, j: int) -> int:
-    """Smallest vertex in N(v_j); at most j since v_j covers itself."""
-    return _lowest_difference(b.row(j), 0, b.n)
 
 
 def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:

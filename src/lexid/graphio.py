@@ -133,13 +133,13 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
     body = lines[number:]
-    return _graph(n, m, _edge_list_pairs(_content(body, "#" in text), n, m), body, number + 1,
+    return _graph(n, m, _edge_list_pairs(_content(body, "#" in text), n), body, number + 1,
                   lambda significant, pairs, numbers: _edge_list_walk(significant, pairs, numbers, m), "header")
 
 
-def _edge_list_pairs(lines: list[str], n: int, m: int) -> list[tuple[int, int]] | None:
+def _edge_list_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
     """The edges of the significant lines after the header, or None if one breaks a line rule."""
-    if len(lines) > m or set(map(len, map(str.split, lines))) - {2}:
+    if set(map(len, map(str.split, lines))) - {2}:
         return None
     try:
         ends = _ints(" ".join(lines).split(), n)

@@ -4,13 +4,14 @@ Each restart relabels the neighborhood array to a new vertex order (no new
 Graph) and runs the sparse constructor.  Under the random ordering, restart i
 draws its order from a generator seeded with derive_seed(seed, i), so reports
 are reproducible and the first r restarts never depend on the total count;
-every other ordering gives all restarts one order, built (and checked) once
-per batch before any fork.  The caller derives the reported seeds itself.
+every other ordering gives all restarts one order and so one code, which is
+constructed once, in process, and repeated for every index.  The caller
+derives the reported seeds itself.
 
-Restarts are independent, so run_restarts splits the indices 0..R-1 into W
-contiguous blocks and runs one block loop over them: block 0 in the caller,
-every other block in an os.fork child that sends its result back through
-a pipe.  W is the number of CPUs this process may run on, capped at
+Random restarts are independent, so run_restarts splits the indices 0..R-1
+into W contiguous blocks and runs one block loop over them: block 0 in the
+caller, every other block in an os.fork child that sends its result back
+through a pipe.  W is the number of CPUs this process may run on, capped at
 R // MIN_BLOCK so that each fork pays for itself; it is 1, and no child is
 forked, without fork or sched_getaffinity or when the process runs other
 threads.  A block keeps its first strictly smallest code in relabeled
@@ -100,8 +101,12 @@ def run_restarts(
             cardinalities.append(len(outcome))
         return cardinalities, elapsed, best
 
-    workers = _worker_count(restarts)
-    blocks = _run_blocks(run_block, [restarts * k // workers for k in range(workers + 1)])
+    if fixed is None:
+        workers = _worker_count(restarts)
+        blocks = _run_blocks(run_block, [restarts * k // workers for k in range(workers + 1)])
+    else:  # one order gives one code: construct it once and repeat it for every restart
+        cardinalities, elapsed, best = run_block(0, 1)
+        blocks = [(cardinalities * restarts, elapsed * restarts, best)]
     members, sequence = min((block[2] for block in blocks), key=lambda best: len(best[0]))
     best_code = code_to_original(Code(members), sequence)  # min keeps the first block at the minimum
     return RestartReport(

@@ -8,7 +8,6 @@ from lexid import (
     find_twins,
     is_identifying_code,
     lex_code_dense,
-    min1,
     min2,
     minimalize,
     nonminimal_grid_fixture,
@@ -23,23 +22,6 @@ from oracles import brute_min_sym_diff
 
 def dense(g):
     return lex_code_dense(g.neighborhood_matrix)
-
-
-class TestMin1:
-    def test_isolated_vertex(self):
-        assert min1(Graph(4).neighborhood_matrix, 3) == 3
-
-    def test_path_center(self):
-        assert min1(path_graph(3).neighborhood_matrix, 2) == 1
-
-    def test_fixture_vertex_six(self):
-        assert min1(nonminimal_grid_fixture().neighborhood_matrix, 6) == 4
-
-    def test_never_exceeds_vertex(self):
-        for g in small_corpus()[:40]:
-            b = g.neighborhood_matrix
-            for j in range(1, g.n + 1):
-                assert min1(b, j) <= j
 
 
 class TestMin2:

@@ -299,7 +299,8 @@ class TestRestartBlocks:
             with monkeypatch.context() as patch:
                 forks = allow_workers(patch, cpus)
                 report = run_restarts(g, strategy, restarts, seed=0)
-            assert len(forks) == min(cpus, restarts) - 1
+            # a non-random ordering constructs its one code once, in process
+            assert len(forks) == (min(cpus, restarts) - 1 if strategy == "random" else 0)
             self.same_report(report, serial)
 
     @settings(max_examples=30, deadline=None)
@@ -346,6 +347,19 @@ class TestRestartBlocks:
         assert len(calls) == 1
         assert len(set(report.cardinalities)) == 1
         assert report.seeds == tuple(derive_seed(0, i) for i in range(20))
+
+        constructions = []
+
+        def counting_construct(array):
+            constructions.append(os.getpid())
+            return lex_code_sparse(array)
+
+        forks = allow_workers(monkeypatch, 2)
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", counting_construct)
+        batch = run_restarts(nonminimal_grid_fixture(), strategy, 150, seed=0)
+        assert constructions == [os.getpid()] and forks == []
+        assert batch.cardinalities == report.cardinalities[:1] * 150
+        assert len(set(batch.elapsed_seconds)) == 1 and batch.best_code == report.best_code
 
     def test_a_child_exception_reaches_the_caller(self, monkeypatch):
         forks = allow_workers(monkeypatch, 3)
