@@ -8,6 +8,7 @@ indices define the processing order.
 from __future__ import annotations
 
 import re
+from functools import partial
 from itertools import filterfalse
 from operator import gt
 from typing import Callable
@@ -138,8 +139,8 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
     body = lines[number:]
-    return _graph(n, m, _edge_list_pairs(_content(body, "#" in text), n), body, number + 1,
-                  lambda significant, pairs, numbers: _edge_list_walk(significant, pairs, numbers, m), "header")
+    pairs = _edge_list_pairs(_content(body, "#" in text), n)
+    return _graph(n, m, pairs, body, number + 1, partial(_edge_list_walk, m=m), "header")
 
 
 def _edge_list_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
