@@ -37,7 +37,8 @@ def _split_lines(text: str) -> list[str]:
 def _significant(lines: list[str], start: int) -> list[tuple[int, str]]:
     """(number, stripped text) of each line that is not blank or a '#' comment;
     lines[0] is line `start`."""
-    return [(number, line) for number, line in enumerate(map(str.strip, lines), start) if line and line[0] != "#"]
+    numbered = enumerate(map(str.strip, lines), start)
+    return [(number, line) for number, line in numbered if line and line[0] != "#"]
 
 
 def _content(lines: list[str], comments: bool) -> list[str]:
@@ -215,7 +216,8 @@ def _dimacs_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
     return list(zip(ends[0::2], ends[1::2]))
 
 
-def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int]) -> None:
+def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]],
+                 numbers: list[int]) -> None:
     for number, line in significant:
         tokens = line.split()
         kind = tokens[0]

@@ -97,7 +97,8 @@ def graph_texts(draw):
     noise = st.one_of(
         st.sampled_from(["", " ", "\t", *NOT_LINE_BREAKS]),
         text.map(lambda t: "#" + t),
-        st.tuples(st.sampled_from(["", *SEPARATORS]), text).map(lambda p: "c" + p[0] + p[1]) if dimacs else st.nothing(),
+        st.tuples(st.sampled_from(["", *SEPARATORS]), text).map(lambda p: "c" + "".join(p))
+        if dimacs else st.nothing(),
     )
     out = []
     for tokens in lines:
