@@ -7,6 +7,7 @@ twin pair is printed), 3 verification rejected the supplied code.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -291,6 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command allocates millions of tuples and lists that never form a cycle;
+    # the cyclic collector would walk them all, so it pauses for the command.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except BrokenPipeError:
@@ -310,6 +315,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("lexid: error: out of memory", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ matrix column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Callable
 
 from .graph import ClosedNeighborhoodMatrix, RunOutcome
@@ -39,6 +40,10 @@ class DenseWorkTally:
 def _lowest_difference(row_j: int, row_k: int, n: int) -> int:
     diff = row_j ^ row_k
     return (diff & -diff).bit_length() or n + 1
+
+
+def _bit(l: int) -> int:
+    return 1 << (l - 1)
 
 
 def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:
@@ -71,18 +76,21 @@ def lex_code_dense(
     rows_b = b._rows  # rows_b[0] = 0 is the empty row the scan's sentinel needs
     x = [0] * (n + 1)
 
-    def charge(j: int, k: int, l: int) -> None:
-        # the zero test, then one whole-row comparison per earlier row tried
-        tally.row_comparison_bits += n * (1 + (k if k < j else j - 1))
-        if l:
-            tally.scan_bits += min(l, n)  # finding twins scans all n positions
-            tally.column_copy_bits += n if l <= n else 0
+    charge = None
+    if tally is not None:
+        def charge(j: int, k: int, l: int) -> None:
+            # the zero test, then one whole-row comparison per earlier row tried
+            tally.row_comparison_bits += n * (1 + (k if k < j else j - 1))
+            if l:
+                tally.scan_bits += min(l, n)  # finding twins scans all n positions
+                tally.column_copy_bits += n if l <= n else 0
 
     return lex_scan(
         x,
         lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
         b._lists,
-        lambda row, l: row | 1 << (l - 1),
-        charge=None if tally is None else charge,
+        or_,
+        _bit,
+        charge=charge,
         observer=observer,
     )

@@ -40,7 +40,8 @@ def lex_scan(
     x: list,
     separate: Callable[[int, int], int],
     lists: tuple[tuple[int, ...], ...],
-    add: Callable[[Hashable, int], Hashable],
+    add: Callable[[Hashable, Hashable], Hashable],
+    unit: Callable[[int], Hashable],
     *,
     charge: Callable[[int, int, int], None] | None = None,
     observer: Callable[[CoverageState], None] | None = None,
@@ -49,7 +50,9 @@ def lex_scan(
 
     separate(j, k) returns the smallest vertex covering exactly one of v_j
     and v_k, or n+1 when there is none; lists[l] lists the vertices 1..n
-    that codeword l covers, and add(row, l) returns row with l added.
+    that codeword l covers, and add(row, unit(l)) returns row with l added.
+    unit runs once per codeword and add once per covered vertex, so add
+    should be a builtin such as operator.add, which runs no Python frame.
     charge(j, k, l), if given, sees every step before its insertion: k is the
     matching earlier row (j when there is none) and l the vertex chosen (0
     when none).  observer, if given, receives a CoverageState after every
@@ -67,9 +70,10 @@ def lex_scan(
             return TwinFailure(j=j, k=k)
         if l:
             code.append(l)
+            item = unit(l)
             for a in lists[l]:
                 row = x[a]
-                x[a] = new = add(row, l)
+                x[a] = new = add(row, item)
                 if a < j:  # rows from j on are not indexed yet
                     index[new] = index.pop(row)
         index[x[j]] = j

@@ -10,6 +10,8 @@ exactly when they are equal as sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
+from operator import add
 from typing import Callable
 
 from .graph import NeighborhoodArray, RunOutcome
@@ -64,6 +66,10 @@ def _min3_walk(lj: tuple[int, ...], lk: tuple[int, ...], n: int) -> tuple[int, i
     return n + 1, m
 
 
+def _singleton(l: int) -> tuple[int]:
+    return (l,)
+
+
 def min3(a: NeighborhoodArray, j: int, k: int) -> int:
     """Smallest vertex covering exactly one of v_j, v_k; n+1 if none exists.
 
@@ -91,25 +97,29 @@ def lex_code_sparse(
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
     x: list[tuple[int, ...]] = [()] * (n + 1)
 
-    def charge(j: int, k: int, l: int) -> None:
-        tally.empty_check_touches += 1
-        # one length check per earlier row tried, plus an element walk on a tie
-        tried = k if k < j else j - 1
-        lj = len(x[j])
-        tally.comparison_touches += tried + lj * list(map(len, x[1 : tried + 1])).count(lj)
-        if l:
-            # reading the head of N(v_j) for an uncovered vertex (k = 0) is one touch
-            tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
-            tally.insert_touches += len(lists[l]) if l <= n else 0
-
-    def sorted_rows(state: CoverageState) -> None:
-        observer(replace(state, rows=tuple(tuple(sorted(row)) for row in state.rows)))
+    charge = None
+    if tally is not None:
+        def charge(j: int, k: int, l: int) -> None:
+            tally.empty_check_touches += 1
+            # one length check per earlier row tried, plus an element walk on a tie
+            tried = k if k < j else j - 1
+            lj = len(x[j])
+            tally.comparison_touches += tried + lj * list(map(len, x[1 : tried + 1])).count(lj)
+            if l:
+                # reading the head of N(v_j) for an uncovered vertex (k = 0) is one touch
+                tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
+                tally.insert_touches += len(lists[l]) if l <= n else 0
 
     return lex_scan(
         x,
         lambda j, k: _min3_walk(lists[j], lists[k], n)[0],
         lists,
-        lambda row, l: row + (l,),
-        charge=None if tally is None else charge,
-        observer=None if observer is None else sorted_rows,
+        add,
+        _singleton,
+        charge=charge,
+        observer=None if observer is None else partial(_sorted_snapshot, observer),
     )
+
+
+def _sorted_snapshot(observer: Callable[[CoverageState], None], state: CoverageState) -> None:
+    observer(replace(state, rows=tuple(tuple(sorted(row)) for row in state.rows)))

@@ -1,0 +1,44 @@
+"""The constructors and the verifier run no Python frame per covered vertex or
+per vertex: on a relabeled 32x32 grid they stay within a fixed number of
+frames per codeword, so their loops over rows run in C."""
+
+import random
+
+import pytest
+
+from lexid import (
+    ClosedNeighborhoodMatrix,
+    apply_sequence,
+    grid_graph,
+    is_identifying_code,
+    lex_code_dense,
+    lex_code_sparse,
+)
+
+from calls import python_calls
+
+
+@pytest.fixture(scope="module")
+def grid():
+    g = grid_graph(32, 32)
+    sequence = list(range(1, g.n + 1))
+    random.Random(0).shuffle(sequence)
+    return apply_sequence(g, sequence)
+
+
+@pytest.mark.parametrize("construct, view", [
+    (lex_code_sparse, lambda g: g.neighborhood_array),
+    (lex_code_dense, lambda g: ClosedNeighborhoodMatrix(g.neighborhood_array)),
+], ids=["sparse", "dense"])
+def test_a_constructor_makes_at_most_three_calls_per_codeword(grid, construct, view):
+    rows = view(grid)
+    code = construct(rows)
+    covered = sum(grid.degrees[c] + 1 for c in code)
+    assert covered > 4 * len(code)  # a call per covered vertex would break the bound
+    assert python_calls(lambda: construct(rows)) <= 3 * len(code) + 10
+
+
+def test_verify_makes_a_fixed_number_of_calls(grid):
+    code = lex_code_sparse(grid.neighborhood_array)
+    assert is_identifying_code(grid, code)
+    assert python_calls(lambda: is_identifying_code(grid, code)) < 10

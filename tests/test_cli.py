@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from lexid import (
     lex_code_sparse,
     nonminimal_grid_fixture,
     parse_edge_list,
+    parse_graph,
     path_graph,
     to_dimacs,
     to_edge_list,
@@ -513,3 +515,67 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "lexid: error: out of memory\n"
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for the command and restores it however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def collector_on(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("3 1\n1 x\n")
+        return str(path)
+
+    def test_the_collector_is_off_inside_a_command(self, p3_file, monkeypatch, capsys):
+        seen = []
+
+        def recording(text, fmt):
+            seen.append(gc.isenabled())
+            return parse_graph(text, fmt)
+
+        monkeypatch.setattr("lexid.cli.parse_graph", recording)
+        assert main(["code", p3_file]) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("graph, argv, code", [
+        ("p3_file", ["code"], 0),
+        ("bad_file", ["code"], 1),
+        ("k2_file", ["code"], 2),
+        ("fixture_file", ["verify", "--code", "1"], 3),
+    ])
+    def test_the_collector_is_on_after_each_exit(self, graph, argv, code, request, capsys):
+        assert main([*argv, request.getfixturevalue(graph)]) == code
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("error, raised", [(MemoryError, None), (KeyboardInterrupt, KeyboardInterrupt)])
+    def test_the_collector_is_on_after_an_exception(self, error, raised, p3_file, monkeypatch, capsys):
+        def failing(text, fmt):
+            raise error
+
+        monkeypatch.setattr("lexid.cli.parse_graph", failing)
+        if raised is None:
+            assert main(["code", p3_file]) == 1
+        else:
+            with pytest.raises(raised):
+                main(["code", p3_file])
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_disabled_stays_off(self, p3_file, capsys):
+        gc.disable()
+        assert main(["code", p3_file]) == 0
+        assert not gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_usage_error_leaves_the_collector_as_it_was(self, enabled, fixture_file):
+        if not enabled:
+            gc.disable()
+        with pytest.raises(SystemExit):
+            main(["verify", fixture_file])
+        assert gc.isenabled() == enabled

@@ -130,6 +130,11 @@ class TestIsIdentifyingCode:
         with pytest.raises(ValueError):
             is_identifying_code(path_graph(3), [4])
 
+    def test_the_first_out_of_range_member_in_input_order_is_named(self):
+        with pytest.raises(ValueError) as info:
+            is_identifying_code(path_graph(3), [2, 9, 0])
+        assert str(info.value) == "code member 9 out of range 1..3"
+
     def test_accepts_code_objects(self):
         assert is_identifying_code(path_graph(3), Code((1, 3)))
 
@@ -139,6 +144,18 @@ class TestIsIdentifyingCode:
         for size in range(g.n + 1):
             for members in combinations(vertices, size):
                 assert is_identifying_code(g, members) == brute_is_identifying(g, members)
+
+    @given(graphs(max_n=40), st.data())
+    def test_matches_brute_force_on_unsorted_lists_with_repeats(self, g, data):
+        vertex = st.integers(1, g.n)
+        dropped = set(data.draw(st.lists(vertex, max_size=4)))
+        members = [v for v in range(1, g.n + 1) if v not in dropped]
+        members += data.draw(st.lists(vertex, max_size=g.n))
+        data.draw(st.randoms()).shuffle(members)
+        expected = brute_is_identifying(g, members)
+        assert is_identifying_code(g, members) == expected
+        assert is_identifying_code(g, iter(members)) == expected
+        assert is_identifying_code(g, Code(tuple(sorted(set(members))))) == expected
 
     @given(graphs())
     def test_superset_closure(self, g):
