@@ -1,6 +1,7 @@
 """The parsers and Graph against the streaming reference front end, and the
 front end's cost: no allocation sized by n before a view, and no per-edge calls."""
 
+import operator
 import tracemalloc
 
 import pytest
@@ -133,6 +134,53 @@ def test_parsers_agree_with_the_streaming_reference(case):
         assert (g.n, g.edges) == (n, edges)
 
 
+# Bodies that only a per-line token count tells apart from valid ones: token
+# counts that balance out over two lines, a literal ';' token, no edge line at
+# all, and a last line with no line break.  The generator above draws these
+# only rarely.
+LINE_RULE_CASES = [
+    ("edgelist", "5 2\n1 2 3\n4"),
+    ("edgelist", "5 2\n1\n2 3 4"),
+    ("edgelist", "5 3\n1 2 3\n# x\n4\n3 5"),
+    ("edgelist", "3 1\n1 ;"),
+    ("edgelist", "3 1\n; 2"),
+    ("edgelist", "3 2\n1 ;\n2 3"),
+    ("edgelist", "3 2\n1 2 ;\n3"),
+    ("edgelist", "3 2\n1\n; 2 3"),
+    ("dimacs", "p edge 5 2\ne 1 2 e\n3 4"),
+    ("dimacs", "p edge 5 2\ne 1 2 e\nc x\n3 4"),
+    ("dimacs", "p edge 3 1\ne ; 2"),
+    ("dimacs", "p edge 3 1\ne 1 ;"),
+    ("dimacs", "p edge 3 1\n; 1 2"),
+    ("dimacs", "p edge 3 2\ne 1 2 ;\ne 3"),
+    ("edgelist", "3 0"),
+    ("edgelist", "3 0\n\n# x\n"),
+    ("edgelist", "3 1\n# x\n"),
+    ("dimacs", "p edge 3 0"),
+    ("dimacs", "p edge 3 0\nc x\n"),
+    ("dimacs", "p edge 3 1\nc x"),
+    ("edgelist", "3 1\n1 2"),
+    ("edgelist", "3 2\n1 2\n2 3 "),
+    ("edgelist", "3 1\n1 2 3"),
+    ("dimacs", "p edge 3 1\ne 2 1"),
+    ("dimacs", "p edge 3 2\ne 1 2\ne 3 2\t"),
+    ("dimacs", "p edge 3 1\ne 1 2 3"),
+]
+
+
+@pytest.mark.parametrize("fmt, text", LINE_RULE_CASES)
+def test_the_line_rules_hold_on_bodies_that_balance_out(fmt, text):
+    try:
+        n, edges = _reference(fmt, text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_graph(text, fmt)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line)
+    else:
+        g = parse_graph(text, fmt)
+        assert (g.n, g.edges) == (n, edges)
+
+
 @st.composite
 def pair_lists(draw):
     """(n, pairs): short lists of mostly int pairs, with bools, floats, wrong-length
@@ -163,10 +211,18 @@ def test_graph_agrees_with_the_per_pair_rules(case, as_iterator):
         assert Graph(n, edges).edges == want
 
 
-def test_a_huge_header_allocates_nothing_sized_by_n():
+def test_graph_keeps_the_callers_canonical_tuples():
+    pairs = [(u, v) for u in range(1, 40) for v in range(u + 1, 40, 3)]
+    g = Graph(40, pairs)
+    assert len(g.pairs) == len(pairs)
+    assert all(map(operator.is_, g.pairs, pairs))
+
+
+@pytest.mark.parametrize("text", ["1000000 0", "p edge 1000000 0"])
+def test_a_huge_header_allocates_nothing_sized_by_n(text):
     tracemalloc.start()
     try:
-        g = parse_graph("1000000 0")
+        g = parse_graph(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
