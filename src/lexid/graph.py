@@ -29,26 +29,50 @@ class Graph:
     order given; `edges` is their frozenset, built on first use.  The
     constructor accepts any iterable of pairs of `int` (a `bool` is not a
     vertex) and rejects self-loops, out-of-range endpoints, and duplicate edges
-    (in either orientation).  It is the package's only edge validator.  It
-    checks all pairs at once; only when a check fails does one walk over the
-    pairs find the first faulty one, raising EdgeError with its message and
-    index.  Nothing sized by n is allocated before a view is asked for.  The
-    sorted lists are the one view built from the edges; the bit matrix is
-    derived from them.
+    (in either orientation); `from_endpoints` takes the same edges as two
+    endpoint lists.  Both run the package's only edge rules.  They check all
+    edges at once; only when a check fails does one walk over the edges find
+    the first faulty one, raising EdgeError with its message and index.
+    Nothing sized by n is allocated before a view is asked for.  The sorted
+    lists are the one view built from the edges; the bit matrix is derived
+    from them.
     """
 
     n: int
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
-        if type(n) is not int or n < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
+        _check_vertex_count(n)
         items = edges if isinstance(edges, (list, tuple)) else list(edges)
-        pairs = _checked_pairs(n, items)
-        if pairs is None:
+        checked = None
+        try:
+            pairs = list(map(tuple, items))
+        except TypeError:  # an item that is not iterable
+            pass
+        else:
+            if set(map(len, pairs)) <= {2}:
+                us = list(map(itemgetter(0), pairs))
+                vs = list(map(itemgetter(1), pairs))
+                checked = _checked_pairs(n, us, vs, pairs)
+        if checked is None:
             raise _first_fault(n, items)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", checked)
+
+    @classmethod
+    def from_endpoints(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> Graph:
+        """The graph Graph(n, zip(us, vs)) builds, or the exception it raises,
+        with the edge rules run on the endpoint lists as given."""
+        _check_vertex_count(n)
+        if len(us) != len(vs):
+            raise ValueError(f"endpoint lists differ in length: {len(us)} and {len(vs)}")
+        pairs = _checked_pairs(n, us, vs, None)
+        if pairs is None:
+            raise _first_fault(n, zip(us, vs))
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "pairs", pairs)
+        return g
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -263,35 +287,35 @@ def _distinct_nonempty(traces: Iterable[Hashable]) -> bool:
     return True
 
 
-def _checked_pairs(n: int, items: Sequence) -> tuple[tuple[int, int], ...] | None:
-    """The items as (u, v) tuples with u < v, or None if one breaks an edge rule.
+def _check_vertex_count(n: int) -> None:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"vertex count must be a positive integer, got {n!r}")
 
-    Every check is one pass in C over all items: unpacking to two ints, no
-    self-loop, endpoints in 1..n, and no pair twice.
+
+def _checked_pairs(n: int, us: Sequence, vs: Sequence,
+                   pairs: Sequence[tuple] | None) -> tuple[tuple[int, int], ...] | None:
+    """The edges (us[i], vs[i]) as (u, v) tuples with u < v, or None if one
+    breaks an edge rule.
+
+    `pairs`, if given, holds the same edges as tuples, which are kept when all
+    are already canonical.  Every check is one pass in C over all endpoints:
+    exact int types, no self-loop, endpoints in 1..n, and no pair twice.
     """
-    try:
-        pairs = list(map(tuple, items))
-    except TypeError:  # an item that is not iterable
-        return None
-    if not pairs:
+    if not us:
         return ()
-    if set(map(len, pairs)) != {2}:
-        return None
-    us = list(map(itemgetter(0), pairs))
-    vs = list(map(itemgetter(1), pairs))
     if set(map(type, chain(us, vs))) != {int}:
         return None
     if not all(map(lt, us, vs)):
         if any(map(eq, us, vs)):
             return None
-        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
-        pairs = list(zip(us, vs))
-    if min(us) < 1 or max(vs) > n or len(set(pairs)) != len(pairs):
+        us, vs, pairs = list(map(min, us, vs)), list(map(max, us, vs)), None
+    if min(us) < 1 or max(vs) > n:
         return None
-    return tuple(pairs)
+    pairs = tuple(zip(us, vs) if pairs is None else pairs)
+    return pairs if len(set(pairs)) == len(pairs) else None
 
 
-def _first_fault(n: int, items: Sequence) -> EdgeError:
+def _first_fault(n: int, items: Iterable) -> EdgeError:
     """The fault of the first item, in order, that breaks an edge rule.
 
     The rules are checked item by item in the order type, self-loop, range,

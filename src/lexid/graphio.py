@@ -89,25 +89,23 @@ def _parse_counts(n_token: str, m_token: str, line: int) -> tuple[int, int]:
 _Walk = Callable[[list[tuple[int, str]], list[tuple[int, int]], list[int]], None]
 
 
-def _graph(n: int, m: int, pairs: list[tuple[int, int]] | None, body: list[str], start: int,
+def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, body: list[str], start: int,
            walk: _Walk, header: str) -> Graph:
-    """Graph(n, pairs), which must have the m edges its header declares.
+    """The graph of the endpoint lists `ends`, which must hold the m edges its
+    header declares.
 
-    `pairs` holds the edges of `body`, the lines from line `start` on, or is
+    `ends` holds the edges of `body`, the lines from line `start` on, or is
     None when their bulk parse failed.  On any fault, `walk` runs the per-line
     rules over the significant lines of `body`, so the first fault in file
     order is the one raised: Graph checks the pairs before the first line fault
     first, and its EdgeError is raised at the line of the faulty pair.  A count
     mismatch is raised at the last significant line.
     """
-    if pairs is not None:
+    if ends is not None and len(ends[0]) == m:
         try:
-            g = Graph(n, pairs)
+            return Graph.from_endpoints(n, *ends)
         except EdgeError:
             pass
-        else:
-            if len(pairs) == m:
-                return g
     significant = _significant(body, start)
     pairs, numbers, fault = [], [], None
     try:
@@ -122,6 +120,17 @@ def _graph(n: int, m: int, pairs: list[tuple[int, int]] | None, body: list[str],
         raise fault
     last = significant[-1][0] if significant else start - 1
     raise ParseError(f"{header} declares {m} edges but {len(pairs)} found", last)
+
+
+# The bulk parsers split a body once, after joining its lines with the marker
+# token ";" after each line, and check that the markers fell into their slots:
+# every third token (DIMACS: fourth) from index 2 (DIMACS: 3).  That is as
+# strict as splitting each line.  Every token outside the slots must convert to
+# an int (or, in DIMACS, be the "e" of its line), and ";" does neither, so the L
+# markers can only sit in the L slots.  They fill them only if every line has
+# exactly 2 (DIMACS: 3) tokens, and a literal ";" in a line then falls outside
+# the slots and fails.  The token count alone is not enough: the DIMACS lines
+# "e 1 2 e" and "3 4" have as many tokens as two edge lines.
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -140,22 +149,25 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
     body = lines[number:]
-    pairs = _edge_list_pairs(_content(body, "#" in text), n)
-    return _graph(n, m, pairs, body, number + 1, partial(_edge_list_walk, m=m), "header")
+    ends = _edge_list_ends(_content(body, "#" in text), n)
+    return _graph(n, m, ends, body, number + 1, partial(_edge_list_walk, m=m), "header")
 
 
-def _edge_list_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
-    """The edges of the significant lines after the header, or None if one breaks a line rule."""
-    if set(map(len, map(str.split, lines))) - {2}:
+def _edge_list_ends(lines: list[str], n: int) -> tuple[list[int], list[int]] | None:
+    """The endpoint lists of the significant lines after the header, or None
+    if one breaks a line rule."""
+    tokens = " ; ".join([*lines, ""]).split()
+    if len(tokens) != 3 * len(lines) or set(tokens[2::3]) - {";"}:
         return None
+    del tokens[2::3]
     try:
-        ends = _ints(" ".join(lines).split(), n)
+        ends = _ints(tokens, n)
     except ValueError:
         return None
     us, vs = ends[0::2], ends[1::2]
     if any(map(gt, us, vs)):
         return None
-    return list(zip(us, vs))
+    return us, vs
 
 
 def _edge_list_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int],
@@ -197,23 +209,24 @@ def parse_dimacs(text: str) -> Graph:
     n, m = _parse_counts(tokens[2], tokens[3], number)
     body = lines[number:]
     content = _content(body, "#" in text)
-    pairs = _dimacs_pairs(content, n)
-    if pairs is None and "c" in text:  # perhaps 'c' comments among the edge lines
-        pairs = _dimacs_pairs(list(filterfalse(_C_COMMENT, content)), n)
-    return _graph(n, m, pairs, body, number + 1, _dimacs_walk, "problem line")
+    ends = _dimacs_ends(content, n)
+    if ends is None and "c" in text:  # perhaps 'c' comments among the edge lines
+        ends = _dimacs_ends(list(filterfalse(_C_COMMENT, content)), n)
+    return _graph(n, m, ends, body, number + 1, _dimacs_walk, "problem line")
 
 
-def _dimacs_pairs(lines: list[str], n: int) -> list[tuple[int, int]] | None:
-    """The edges of significant lines that are all 'e u v' lines, or None."""
-    tokens = " ".join(lines).split()
-    if set(map(len, map(str.split, lines))) - {3} or set(tokens[0::3]) - {"e"}:
+def _dimacs_ends(lines: list[str], n: int) -> tuple[list[int], list[int]] | None:
+    """The endpoint lists of significant lines that are all 'e u v' lines, or None."""
+    tokens = " ; ".join([*lines, ""]).split()
+    if len(tokens) != 4 * len(lines) or set(tokens[3::4]) - {";"} or set(tokens[0::4]) - {"e"}:
         return None
+    del tokens[3::4]
     del tokens[0::3]
     try:
         ends = _ints(tokens, n)
     except ValueError:
         return None
-    return list(zip(ends[0::2], ends[1::2]))
+    return ends[0::2], ends[1::2]
 
 
 def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]],

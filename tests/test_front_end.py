@@ -211,6 +211,38 @@ def test_graph_agrees_with_the_per_pair_rules(case, as_iterator):
         assert Graph(n, edges).edges == want
 
 
+@st.composite
+def endpoint_lists(draw):
+    """(n, us, vs): equal-length endpoint lists, drawn as pair_lists draws its endpoints."""
+    n = draw(st.integers(1, 6))
+    endpoint = st.one_of(st.integers(-1, n + 2), st.sampled_from([True, False, 1.0]))
+    pair = st.one_of(st.tuples(st.integers(1, n), st.integers(1, n)), st.tuples(endpoint, endpoint))
+    pairs = draw(st.lists(pair, max_size=10))
+    return n, [u for u, _ in pairs], [v for _, v in pairs]
+
+
+@settings(max_examples=400)
+@given(endpoint_lists())
+def test_from_endpoints_agrees_with_the_constructor(case):
+    n, us, vs = case
+    try:
+        want = Graph(n, list(zip(us, vs)))
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as info:
+            Graph.from_endpoints(n, us, vs)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, "index", None) == getattr(exc, "index", None)
+    else:
+        g = Graph.from_endpoints(n, us, vs)
+        assert (g.n, g.pairs, g.edges) == (want.n, want.pairs, want.edges)
+
+
+def test_from_endpoints_refuses_lists_of_different_lengths():
+    with pytest.raises(ValueError) as info:
+        Graph.from_endpoints(3, [1, 2], [2])
+    assert str(info.value) == "endpoint lists differ in length: 2 and 1"
+
+
 def test_graph_keeps_the_callers_canonical_tuples():
     pairs = [(u, v) for u in range(1, 40) for v in range(u + 1, 40, 3)]
     g = Graph(40, pairs)

@@ -177,9 +177,17 @@ class TestGraphIsTheEdgeValidator:
             self.n = n
             self.edges = list(edges)
 
+        @classmethod
+        def from_endpoints(cls, n, us, vs):
+            return cls(n, zip(us, vs))
+
     class FailingAtIndexOne:
         def __init__(self, n, edges):
             raise EdgeError("x", 1)
+
+        @classmethod
+        def from_endpoints(cls, n, us, vs):
+            return cls(n, zip(us, vs))
 
     @pytest.mark.parametrize(
         "text, drawn",
