@@ -134,10 +134,10 @@ def test_parsers_agree_with_the_streaming_reference(case):
         assert (g.n, g.edges) == (n, edges)
 
 
-# Bodies that only a per-line token count tells apart from valid ones: token
-# counts that balance out over two lines, a literal ';' token, no edge line at
-# all, and a last line with no line break.  The generator above draws these
-# only rarely.
+# Bodies the bulk parsers' line-end markers must judge as the per-line rules
+# do: token counts that balance out over two lines, a literal ';' token, no
+# edge line at all, and a last line with no line break.  The generator above
+# draws these only rarely.
 LINE_RULE_CASES = [
     ("edgelist", "5 2\n1 2 3\n4"),
     ("edgelist", "5 2\n1\n2 3 4"),
@@ -169,7 +169,7 @@ LINE_RULE_CASES = [
 
 
 @pytest.mark.parametrize("fmt, text", LINE_RULE_CASES)
-def test_the_line_rules_hold_on_bodies_that_balance_out(fmt, text):
+def test_the_bulk_parse_keeps_the_line_rules(fmt, text):
     try:
         n, edges = _reference(fmt, text)
     except ParseError as exc:
