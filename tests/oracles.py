@@ -8,7 +8,14 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from lexid import Graph, ParseError
+from lexid import Code, Graph, ParseError
+
+
+def tagged(outcome):
+    """A package outcome in the references' form: ("code", members) or ("twins", j, k)."""
+    if isinstance(outcome, Code):
+        return ("code", outcome.members)
+    return ("twins", outcome.j, outcome.k)
 
 
 def neighborhood_sets(g: Graph) -> dict[int, frozenset[int]]:
@@ -74,6 +81,32 @@ def brute_lex_code(g: Graph):
         if not diff:
             return ("twins", j, k)
         code.add(min(diff))
+    return ("code", tuple(sorted(code)))
+
+
+def brute_greedy_code(g: Graph):
+    """Set-cover greedy over the identification requirements, from its definition.
+
+    The requirements are each N(v), then each N(v) ^ N(w) for v < w; vertex u
+    covers those that contain it.  Repeatedly picks the vertex covering the
+    most uncovered requirements, the smallest on ties.  A twin pair's
+    requirement is empty and has no coverer, so a graph with twins returns
+    ("twins", j, k) for brute_find_twins' pair (k, j); otherwise ("code", members).
+    """
+    twins = brute_find_twins(g)
+    if twins is not None:
+        return ("twins", twins[1], twins[0])
+    nbhd = neighborhood_sets(g)
+    vertices = range(1, g.n + 1)
+    requirements = [nbhd[v] for v in vertices]
+    requirements += [nbhd[v] ^ nbhd[w] for v, w in combinations(vertices, 2)]
+    covers = {u: frozenset(i for i, r in enumerate(requirements) if u in r) for u in vertices}
+    uncovered = frozenset(range(len(requirements)))
+    code = []
+    while uncovered:
+        u = max(vertices, key=lambda u: len(covers[u] & uncovered))  # the first of the largest
+        uncovered -= covers[u]
+        code.append(u)
     return ("code", tuple(sorted(code)))
 
 

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from lexid import (
     Code,
@@ -19,8 +20,8 @@ from lexid import (
     prefix_sequence,
 )
 
-from corpus import small_corpus, twin_free_corpus
-from oracles import brute_is_identifying, brute_minimum_cardinality
+from corpus import graphs, small_corpus, twin_free_corpus
+from oracles import brute_greedy_code, brute_is_identifying, brute_minimum_cardinality, tagged
 
 
 class TestMinimumCode:
@@ -114,6 +115,19 @@ class TestGreedyCode:
                 assert isinstance(out, Code)
             else:
                 assert out == TwinFailure(j=twins[1], k=twins[0])
+
+
+class TestGreedyReference:
+    def test_corpora_match_reference(self):
+        corpus = small_corpus() + twin_free_corpus()
+        assert any(brute_greedy_code(g)[0] == "twins" for g in corpus)
+        for g in corpus:
+            assert tagged(greedy_code(g)) == brute_greedy_code(g)
+
+    @given(graphs(max_n=14))
+    @settings(max_examples=250)
+    def test_generated_graphs_match_reference(self, g):
+        assert tagged(greedy_code(g)) == brute_greedy_code(g)
 
 
 class TestCardinalityChain:

@@ -3,7 +3,6 @@
 from hypothesis import given, settings
 
 from lexid import (
-    Code,
     OrderingStrategy,
     SplitMix64,
     apply_sequence,
@@ -15,13 +14,7 @@ from lexid import (
 )
 
 from corpus import graphs, small_corpus
-from oracles import brute_lex_code
-
-
-def tagged(outcome):
-    if isinstance(outcome, Code):
-        return ("code", outcome.members)
-    return ("twins", outcome.j, outcome.k)
+from oracles import brute_lex_code, tagged
 
 
 def assert_agree(g):
