@@ -54,11 +54,10 @@ class BenchSample:
 
 @dataclass(frozen=True)
 class BenchReport:
-    """All samples plus per-(family, algorithm) slopes and wall-time crossovers."""
+    """All samples plus per-(family, algorithm) slopes of the work counters."""
 
     samples: tuple[BenchSample, ...]
     slopes: tuple[tuple[str, str, float], ...]  # (family, algorithm, slope)
-    crossovers: tuple[tuple[str, int | None], ...]  # smallest n with sparse wall < dense wall
     skipped: tuple[tuple[str, int, str], ...]  # (family, requested size, reason)
 
     def slope(self, family: str, algorithm: str) -> float:
@@ -84,8 +83,6 @@ class BenchReport:
             )
         for family, algorithm, value in self.slopes:
             writer.writerow(["slope", family, "", "", algorithm, "", "", f"{value:.4f}"])
-        for family, n in self.crossovers:
-            writer.writerow(["crossover", family, "", "", "", "", "", "" if n is None else n])
         for family, size, reason in self.skipped:
             writer.writerow(["skipped", family, size, "", "", "", "", reason])
         return out.getvalue()
@@ -164,7 +161,6 @@ def bench(
                 BenchSample(family, g.n, g.max_degree, "sparse", sparse_seconds, sparse_tally.total)
             )
     slopes: list[tuple[str, str, float]] = []
-    crossovers: list[tuple[str, int | None]] = []
     for family in families:
         for algorithm in ("dense", "sparse"):
             points = [
@@ -174,18 +170,8 @@ def bench(
             ]
             if len(set(x for x, _ in points)) >= 2:
                 slopes.append((family, algorithm, fit_loglog_slope(points)))
-        crossover = None
-        for n in sorted({s.n for s in samples if s.family == family}):
-            dense = next(s for s in samples if (s.family, s.n, s.algorithm) == (family, n, "dense"))
-            sparse = next(s for s in samples if (s.family, s.n, s.algorithm) == (family, n, "sparse"))
-            if sparse.median_seconds < dense.median_seconds:
-                crossover = n
-                break
-        if any(s.family == family for s in samples):
-            crossovers.append((family, crossover))
     return BenchReport(
         samples=tuple(samples),
         slopes=tuple(slopes),
-        crossovers=tuple(crossovers),
         skipped=tuple(skipped),
     )

@@ -210,7 +210,7 @@ def _cmd_restarts(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
+    sizes = list(_int_list(args.sizes, "sizes"))
     for family in families:
         if family not in FAMILIES:
             raise ValueError(f"unknown bench family {family!r}; choose from {', '.join(FAMILIES)}")

@@ -68,10 +68,10 @@ def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResu
 def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     """Shrink an identifying code to a minimal one.
 
-    Tries to delete members in increasing index order, keeping each deletion
-    only if the remainder still identifies.  One such pass suffices: a member
-    that survives its turn cannot become deletable later, because identifying
-    sets are closed under supersets.
+    Tries to delete members in increasing index order, whatever the order
+    given, keeping each deletion only if the remainder still identifies.  One
+    such pass suffices: a member that survives its turn cannot become
+    deletable later, because identifying sets are closed under supersets.
     """
     members = tuple(code)
     if not is_identifying_code(g, members):
@@ -80,7 +80,7 @@ def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     cmask = 0
     for v in members:
         cmask |= 1 << (v - 1)
-    for v in members:
+    for v in sorted(set(members)):
         trial = cmask & ~(1 << (v - 1))
         if _distinct_nonempty(map(trial.__and__, rows)):
             cmask = trial
@@ -90,43 +90,47 @@ def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
 def greedy_code(g: Graph) -> RunOutcome:
     """Set-cover greedy baseline.
 
-    The universe has one coverage element per vertex and one separation
-    element per vertex pair; vertex u covers the element of v when u is in
-    N(v), and the element of {v, w} when u is in exactly one of N(v), N(w).
-    Repeatedly picks the vertex covering the most uncovered elements
-    (smallest index on ties).  Pairs of twins have no coverer, so graphs with
-    twins yield a TwinFailure up front.
+    The requirements are each N(v) and each N(v) Δ N(w), v < w; vertex u meets
+    those that contain it.  Repeatedly picks the vertex meeting the most unmet
+    requirements (smallest index on ties).  Pairs of twins have no coverer, so
+    graphs with twins yield a TwinFailure up front.
+
+    The requirements are never listed.  Two vertices share a label iff no
+    chosen vertex separates them, so each label is a class of equal traces
+    N(v) ∩ C, and label 0 is the empty trace.  If N(u) holds c_k of the
+    size_k vertices of class k, u meets the c_0 unmet N(v) of label 0 and
+    separates c_k·(size_k − c_k) unmet pairs of each class, so a step costs
+    O(n + m).
     """
     twins = find_twins(g)
     if twins is not None:
         return TwinFailure(j=twins[1], k=twins[0])
     n = g.n
-    rows = g.neighborhood_matrix._rows
-    # universe bit layout: bits 0..n-1 are vertex elements (symmetry of the
-    # closed neighborhood makes row u the coverage bits of u), then one bit
-    # per pair (v, w), v < w, in lexicographic order
-    cover = [0] * (n + 1)
-    for u in range(1, n + 1):
-        cover[u] = rows[u]
-    index = n
-    for v in range(1, n + 1):
-        for w in range(v + 1, n + 1):
-            diff = rows[v] ^ rows[w]
-            while diff:
-                low = diff & -diff
-                cover[low.bit_length()] |= 1 << index
-                diff ^= low
-            index += 1
-    remaining = (1 << index) - 1
+    lists = g.neighborhood_array._lists
+    label = [0] * (n + 1)
+    size = [n]
     chosen: list[int] = []
-    while remaining:
+    while True:
         best_u = 0
-        best_count = 0
+        best_gain = 0
         for u in range(1, n + 1):
-            count = (cover[u] & remaining).bit_count()
-            if count > best_count:
+            counts: dict[int, int] = {}  # a Counter costs more on these short lists
+            for k in map(label.__getitem__, lists[u]):
+                counts[k] = counts.get(k, 0) + 1
+            gain = counts.get(0, 0)
+            for k, c in counts.items():
+                gain += c * (size[k] - c)
+            if gain > best_gain:
                 best_u = u
-                best_count = count
-        remaining &= ~cover[best_u]
+                best_gain = gain
+        if not best_gain:  # twin-free: every unmet requirement has a coverer
+            return Code(tuple(sorted(chosen)))
         chosen.append(best_u)
-    return Code(tuple(sorted(chosen)))
+        moved: dict[int, list[int]] = {}
+        for v in lists[best_u]:
+            moved.setdefault(label[v], []).append(v)
+        for k, members in moved.items():
+            size[k] -= len(members)
+            for v in members:
+                label[v] = len(size)
+            size.append(len(members))

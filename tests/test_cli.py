@@ -338,8 +338,6 @@ class TestBenchCommand:
             if row[0] == "sample":
                 assert float(row[5]) >= 0
                 row[5] = "T"
-            elif row[0] == "crossover":  # the first size where sparse wall time beats dense
-                row[7] = "T"
         assert "\n".join(",".join(row) for row in rows) == "\n".join([
             "record,family,n,max_degree,algorithm,median_seconds,work_units,value",
             "sample,path,9,2,dense,T,388,",
@@ -362,9 +360,6 @@ class TestBenchCommand:
             "slope,grid,,,sparse,,,1.9321",
             "slope,gnp,,,dense,,,2.3800",
             "slope,gnp,,,sparse,,,1.7172",
-            "crossover,path,,,,,,T",
-            "crossover,grid,,,,,,T",
-            "crossover,gnp,,,,,,T",
             "skipped,path,2,,,,,twins 1 2",
             "skipped,grid,2,,,,,twins 1 2",
         ])
@@ -381,6 +376,12 @@ class TestBenchCommand:
             "lexid: error: unknown bench family 'torus'; "
             "choose from path, cycle, grid, gnp, hypercube\n"
         )
+
+    def test_bad_sizes_message(self, capsys):
+        assert main(["bench", "--sizes", "4,x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lexid: error: sizes must be a list of integers, got '4,x'\n"
 
     def test_zero_size_is_a_skipped_row(self, capsys):
         assert main(["bench", "--sizes", "0"]) == 0
@@ -430,6 +431,12 @@ class TestMatrixBuilds:
         argv = [everything if a == "ALL" else a for a in argv]
         assert main([*argv, request.getfixturevalue(graph)]) == 0
         assert capsys.readouterr().err == ""
+        assert builds == []
+
+    def test_greedy_builds_none(self, fixture_file, builds, capsys):
+        # not on the isolated file: greedy scans all 40000 vertices per pick there
+        assert main(["greedy", fixture_file]) == 0
+        assert capsys.readouterr() == ("2 3 4 7\n4\n", "")
         assert builds == []
 
     def test_dense_code_builds_one(self, fixture_file, monkeypatch, capsys):

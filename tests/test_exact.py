@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -9,7 +11,9 @@ from lexid import (
     TwinFailure,
     TwinsError,
     apply_sequence,
+    derive_seed,
     find_twins,
+    gnp_graph,
     greedy_code,
     is_identifying_code,
     lex_code_dense,
@@ -81,6 +85,16 @@ class TestMinimalize:
         with pytest.raises(ValueError, match="not an identifying code"):
             minimalize(path_graph(3), Code((2,)))
 
+    def test_member_order_does_not_matter(self):
+        rng = random.Random(0)
+        for g in twin_free_corpus():
+            ascending = list(range(1, g.n + 1))
+            shuffled = ascending[:]
+            rng.shuffle(shuffled)
+            expected = minimalize(g, ascending)
+            for members in (ascending[::-1], shuffled, ascending + shuffled[::2]):
+                assert minimalize(g, members) == expected
+
     def test_result_minimal_subset_still_identifying(self):
         for g in twin_free_corpus()[:60]:
             full = Code(tuple(range(1, g.n + 1)))
@@ -128,6 +142,20 @@ class TestGreedyReference:
     @settings(max_examples=250)
     def test_generated_graphs_match_reference(self, g):
         assert tagged(greedy_code(g)) == brute_greedy_code(g)
+
+
+class TestGreedyFootprint:
+    def test_peak_allocation_is_linear(self):
+        # the requirement universe would hold n ints of ~n²/2 bits: ~130 KiB here
+        g = gnp_graph(128, 0.1, derive_seed(0, 128))
+        g.neighborhood_array
+        tracemalloc.start()
+        try:
+            greedy_code(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
 
 
 class TestCardinalityChain:
