@@ -146,9 +146,9 @@ class TestGreedyReference:
 
 class TestGreedyFootprint:
     def test_peak_allocation_is_linear(self):
-        # the requirement universe would hold n ints of ~n²/2 bits: ~130 KiB here
+        # an explicit universe of n ints of ~n²/2 bits takes ~130 KiB here
         g = gnp_graph(128, 0.1, derive_seed(0, 128))
-        g.neighborhood_array
+        g.neighborhood_array  # the graph's own view, built before tracing
         tracemalloc.start()
         try:
             greedy_code(g)
