@@ -3,12 +3,13 @@
 Every generator is a pure function of its parameters (and seed, for G(n,p)),
 so instances are bit-reproducible anywhere.  G(n,p) draws one uniform double
 per vertex pair, pairs visited in lexicographic order, from the splitmix64
-stream documented in the README.
+stream documented in the README, a row of pairs at a time.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 from .graph import Graph
@@ -51,19 +52,23 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
 
     Pairs are visited in lexicographic order and consume exactly one uniform
     double each from SplitMix64(seed), so the instance is reproducible from
-    (n, p, seed) alone.
+    (n, p, seed) alone.  A pair is kept when its draw (z >> 11) * 2**-53 is
+    < p, that is when z < ceil(p * 2**53) * 2**11; each row u draws its n - u
+    outputs as one block.
     """
     if n < 1:
         raise ValueError(f"gnp needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
     rng = SplitMix64(seed)
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            if rng.random() < p:
-                edges.append((u, v))
-    return Graph(n, edges)
+    limit = math.ceil(p * 2**53) << 11
+    us: list[int] = []
+    vs: list[int] = []
+    for u in range(1, n):
+        row = list(compress(range(u + 1, n + 1), rng.flags_below(n - u, limit)))
+        us += [u] * len(row)
+        vs += row
+    return Graph.from_endpoints(n, us, vs)
 
 
 def hypercube_graph(dim: int) -> Graph:

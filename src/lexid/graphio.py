@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from operator import gt
 from typing import Callable
 
@@ -248,18 +248,19 @@ def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]
         numbers.append(number)
 
 
+def _edge_lines(g: Graph, line: str) -> str:
+    """One `line % (u, v)` per edge, edges sorted, made by a single format."""
+    return (line * len(g.pairs)) % tuple(chain.from_iterable(sorted(g.pairs)))
+
+
 def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format with edges sorted lexicographically."""
-    lines = [f"{g.n} {len(g.pairs)}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.pairs))
-    return "\n".join(lines) + "\n"
+    return f"{g.n} {len(g.pairs)}\n" + _edge_lines(g, "%d %d\n")
 
 
 def to_dimacs(g: Graph) -> str:
     """Serialize to DIMACS format with edges sorted lexicographically."""
-    lines = [f"p edge {g.n} {len(g.pairs)}"]
-    lines.extend(f"e {u} {v}" for u, v in sorted(g.pairs))
-    return "\n".join(lines) + "\n"
+    return f"p edge {g.n} {len(g.pairs)}\n" + _edge_lines(g, "e %d %d\n")
 
 
 def detect_format(text: str) -> str:

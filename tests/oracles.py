@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from lexid import Code, Graph, ParseError
+from lexid import Code, Graph, ParseError, SplitMix64
 
 
 def tagged(outcome):
@@ -108,6 +108,20 @@ def brute_greedy_code(g: Graph):
         uncovered -= covers[u]
         code.append(u)
     return ("code", tuple(sorted(code)))
+
+
+def reference_gnp(n: int, p: float, seed: int) -> tuple[tuple[int, int], ...]:
+    """G(n, p)'s pairs straight from the definition: visit the pairs in
+    lexicographic order and keep one when its uniform double is < p."""
+    rng = SplitMix64(seed)
+    return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p)
+
+
+def reference_serialization(g: Graph, dimacs: bool) -> str:
+    """The edge-list or DIMACS text of a graph, one f-string per line."""
+    lines = [f"p edge {g.n} {len(g.pairs)}" if dimacs else f"{g.n} {len(g.pairs)}"]
+    lines.extend(f"e {u} {v}" if dimacs else f"{u} {v}" for u, v in sorted(g.pairs))
+    return "\n".join(lines) + "\n"
 
 
 def reference_shuffle(rng, items: list) -> None:

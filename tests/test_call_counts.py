@@ -1,6 +1,7 @@
 """The constructors and the verifier run no Python frame per covered vertex or
 per vertex: on a relabeled 32x32 grid they stay within a fixed number of
-frames per codeword, so their loops over rows run in C."""
+frames per codeword, so their loops over rows run in C.  G(n, p) runs a fixed
+number of frames per row, not one per pair."""
 
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from lexid import (
     ClosedNeighborhoodMatrix,
     apply_sequence,
+    gnp_graph,
     grid_graph,
     is_identifying_code,
     lex_code_dense,
@@ -42,3 +44,8 @@ def test_verify_makes_a_fixed_number_of_calls(grid):
     code = lex_code_sparse(grid.neighborhood_array)
     assert is_identifying_code(grid, code)
     assert python_calls(lambda: is_identifying_code(grid, code)) < 10
+
+
+def test_gnp_makes_a_fixed_number_of_calls_per_row():
+    n = 300
+    assert python_calls(lambda: gnp_graph(n, 0.2, 3)) < 3 * n

@@ -1,11 +1,14 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lexid.graphio
 from lexid import (
     Graph,
     ParseError,
+    SplitMix64,
     cycle_graph,
     find_twins,
     gen,
@@ -23,8 +26,15 @@ from lexid import (
 from lexid.graph import EdgeError
 from lexid.graphio import detect_format
 
-from corpus import small_corpus
-from oracles import ReferenceLines
+from corpus import graphs, small_corpus
+from oracles import ReferenceLines, reference_gnp, reference_serialization
+
+# p at the edges of the float grid the draws live on: draws are k * 2**-53
+GRID_PS = [0.0, 5e-324, 2**-53, 1 - 2**-53, 1.0] + [
+    q for k in (1, 3, 2**52 - 1, 2**52, 0x1234_5678_9ABC_D, 2**53 - 1)
+    for q in (k / 2**53, math.nextafter(k / 2**53, 0), math.nextafter(k / 2**53, 1))
+]
+SEEDS = [0, 2**64 - 1, 2**64, 2**64 + 7, 2**80 + 3, -1, -(2**64) - 5]
 
 FIXTURE_EDGES = {
     (1, 2), (2, 9), (3, 4), (3, 8), (6, 7), (5, 7),
@@ -249,6 +259,15 @@ class TestRoundTrip:
             assert parse_edge_list(to_edge_list(g)) == g
             assert parse_dimacs(to_dimacs(g)) == g
 
+    @settings(max_examples=200)
+    @given(graphs(max_n=30))
+    @example(Graph(1))
+    @example(Graph(7))
+    @example(gnp_graph(200, 0.3, 5))
+    def test_serializers_match_the_per_line_form(self, g):
+        assert to_edge_list(g) == reference_serialization(g, dimacs=False)
+        assert to_dimacs(g) == reference_serialization(g, dimacs=True)
+
     def test_auto_detection(self):
         g = path_graph(4)
         assert parse_graph(to_edge_list(g)) == g
@@ -300,6 +319,30 @@ class TestGenerators:
     def test_gnp_extremes(self):
         assert not gnp_graph(6, 0.0, seed=1).edges
         assert len(gnp_graph(6, 1.0, seed=1).edges) == 15
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 80),
+        st.one_of(st.floats(0, 1), st.sampled_from(GRID_PS)),
+        st.one_of(st.sampled_from(SEEDS), st.integers(-(2**70), 2**70)),
+    )
+    def test_gnp_matches_the_per_pair_reference(self, n, p, seed):
+        assert gnp_graph(n, p, seed).pairs == reference_gnp(n, p, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_gnp_matches_the_reference_on_the_grid_edges(self, seed):
+        for p in GRID_PS:
+            assert gnp_graph(23, p, seed).pairs == reference_gnp(23, p, seed)
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 40), st.integers(0, 2**64 - 1), st.data())
+    def test_gnp_cuts_exactly_at_a_draw(self, n, seed, data):
+        # p equal to one pair's draw drops that pair; the next float up keeps it
+        rng = SplitMix64(seed)
+        draws = [rng.random() for _ in range(n * (n - 1) // 2)]
+        draw = data.draw(st.sampled_from(draws))
+        for p in (math.nextafter(draw, 0), draw, math.nextafter(draw, 1)):
+            assert gnp_graph(n, p, seed).pairs == reference_gnp(n, p, seed)
 
     def test_gnp_requires_seed(self):
         with pytest.raises(ValueError, match="seed"):

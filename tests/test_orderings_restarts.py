@@ -100,6 +100,28 @@ class TestSplitMix64:
         assert items == expected
         assert rng.next_u64() == ref.next_u64()
 
+    @given(
+        st.one_of(st.sampled_from([0, 2**64 - 1, 2**64, -1]), st.integers(0, 2**64 - 1)),
+        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 2**64)), max_size=4),
+        st.data(),
+    )
+    @settings(max_examples=300)
+    def test_flags_below_match_scalar_draws(self, seed, blocks, data):
+        # the flags and the generator state they leave behind both match
+        # count next_u64() calls; some limits sit on an output or just above it
+        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        for count, limit in blocks:
+            outputs = [ref.next_u64() for _ in range(count)]
+            if outputs and data.draw(st.booleans()):
+                limit = data.draw(st.sampled_from(outputs)) + data.draw(st.integers(0, 1))
+            assert rng.flags_below(count, limit) == bytes(z < limit for z in outputs)
+        assert rng.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("count, limit", [(-1, 0), (3, -1), (3, 2**64 + 1)])
+    def test_flags_below_rejects_a_bad_block(self, count, limit):
+        with pytest.raises(ValueError):
+            SplitMix64(0).flags_below(count, limit)
+
     def test_derive_seed_prefix_stable(self):
         assert [derive_seed(7, i) for i in range(5)] == [derive_seed(7, i) for i in range(5)]
         assert derive_seed(7, 0) != derive_seed(7, 1)
