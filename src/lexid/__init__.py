@@ -29,7 +29,6 @@ from .graph import (
     RunOutcome,
     TwinFailure,
     TwinsError,
-    closed_neighborhood,
     find_twins,
     is_identifying_code,
 )
@@ -49,7 +48,6 @@ from .orderings import (
 )
 from .restarts import RestartReport, run_restarts
 from .rng import SplitMix64, derive_seed
-from .scan import CoverageState
 from .sparse import SparseWorkTally, lex_code_sparse, min3
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "BenchSample",
     "ClosedNeighborhoodMatrix",
     "Code",
-    "CoverageState",
     "DenseWorkTally",
     "Graph",
     "MinimumResult",
@@ -74,7 +71,6 @@ __all__ = [
     "TwinsError",
     "apply_sequence",
     "bench",
-    "closed_neighborhood",
     "code_to_original",
     "cycle_graph",
     "derive_seed",

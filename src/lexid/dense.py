@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import or_
-from typing import Callable
 
 from .graph import ClosedNeighborhoodMatrix, RunOutcome
-from .scan import CoverageState, lex_scan
+from .scan import lex_scan
 
 
 @dataclass
@@ -60,17 +59,14 @@ def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:
 def lex_code_dense(
     b: ClosedNeighborhoodMatrix,
     *,
-    observer: Callable[[CoverageState], None] | None = None,
     tally: DenseWorkTally | None = None,
 ) -> RunOutcome:
     """Build the lexicographic code of the graph behind b, or report twins.
 
     On twin-free input the returned Code is identifying.  On input with twins
     the run stops at the first vertex j whose closed neighborhood duplicates
-    an earlier k and returns TwinFailure(j, k).
-
-    observer, if given, receives a CoverageState (rows as bitsets) after every
-    completed step; tally, if given, accumulates the model bit-operation cost.
+    an earlier k and returns TwinFailure(j, k).  tally, if given, accumulates
+    the model bit-operation cost.
     """
     n = b.n
     rows_b = b._rows  # rows_b[0] = 0 is the empty row the scan's sentinel needs
@@ -92,5 +88,4 @@ def lex_code_dense(
         or_,
         _bit,
         charge=charge,
-        observer=observer,
     )

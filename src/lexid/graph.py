@@ -236,11 +236,6 @@ class TwinsError(ValueError):
         super().__init__(f"graph is not twin-free: vertices {pair[0]} and {pair[1]} are twins")
 
 
-def closed_neighborhood(g: Graph, v: int) -> tuple[int, ...]:
-    """The vertex v together with its neighbors, ascending."""
-    return g.neighborhood_array.neighborhood(v)
-
-
 def find_twins(g: Graph) -> tuple[int, int] | None:
     """First pair (k, j), k < j, with N(v_k) = N(v_j); None iff twin-free.
 
@@ -338,7 +333,7 @@ def _first_fault(n: int, items: Iterable) -> EdgeError:
 
 
 def _check_permutation(p: Sequence[int], n: int) -> None:
-    if len(p) != n or sorted(p) != list(range(1, n + 1)):
+    if len(p) != n or set(map(type, p)) != {int} or sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(p)!r}")
 
 

@@ -122,8 +122,8 @@ def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, body: list[
     raise ParseError(f"{header} declares {m} edges but {len(pairs)} found", last)
 
 
-# The bulk parsers split a body once, after joining its lines with the marker
-# token ";" after each line, and check that the markers fell into their slots:
+# _ends splits a body once, after joining its lines with the marker
+# token ";" after each line, and checks that the markers fell into their slots:
 # every third token (DIMACS: fourth) from index 2 (DIMACS: 3).  That is as
 # strict as splitting each line.  Every token outside the slots must convert to
 # an int (or, in DIMACS, be the "e" of its line), and ";" does neither, so the L
@@ -149,25 +149,29 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
     body = lines[number:]
-    ends = _edge_list_ends(_content(body, "#" in text), n)
+    ends = _ends(_content(body, "#" in text), n, "")
+    if ends is not None and any(map(gt, *ends)):
+        ends = None
     return _graph(n, m, ends, body, number + 1, partial(_edge_list_walk, m=m), "header")
 
 
-def _edge_list_ends(lines: list[str], n: int) -> tuple[list[int], list[int]] | None:
-    """The endpoint lists of the significant lines after the header, or None
-    if one breaks a line rule."""
+def _ends(lines: list[str], n: int, tag: str) -> tuple[list[int], list[int]] | None:
+    """The endpoint lists of significant lines that are all 'u v' lines (tag
+    "") or all 'e u v' lines (tag "e"), or None if one breaks a line rule."""
+    width = 4 if tag else 3
     tokens = " ; ".join([*lines, ""]).split()
-    if len(tokens) != 3 * len(lines) or set(tokens[2::3]) - {";"}:
+    if len(tokens) != width * len(lines) or set(tokens[width - 1::width]) - {";"}:
         return None
-    del tokens[2::3]
+    del tokens[width - 1::width]
+    if tag:
+        if set(tokens[0::3]) - {tag}:
+            return None
+        del tokens[0::3]
     try:
         ends = _ints(tokens, n)
     except ValueError:
         return None
-    us, vs = ends[0::2], ends[1::2]
-    if any(map(gt, us, vs)):
-        return None
-    return us, vs
+    return ends[0::2], ends[1::2]
 
 
 def _edge_list_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int],
@@ -209,24 +213,10 @@ def parse_dimacs(text: str) -> Graph:
     n, m = _parse_counts(tokens[2], tokens[3], number)
     body = lines[number:]
     content = _content(body, "#" in text)
-    ends = _dimacs_ends(content, n)
+    ends = _ends(content, n, "e")
     if ends is None and "c" in text:  # perhaps 'c' comments among the edge lines
-        ends = _dimacs_ends(list(filterfalse(_C_COMMENT, content)), n)
+        ends = _ends(list(filterfalse(_C_COMMENT, content)), n, "e")
     return _graph(n, m, ends, body, number + 1, _dimacs_walk, "problem line")
-
-
-def _dimacs_ends(lines: list[str], n: int) -> tuple[list[int], list[int]] | None:
-    """The endpoint lists of significant lines that are all 'e u v' lines, or None."""
-    tokens = " ; ".join([*lines, ""]).split()
-    if len(tokens) != 4 * len(lines) or set(tokens[3::4]) - {";"} or set(tokens[0::4]) - {"e"}:
-        return None
-    del tokens[3::4]
-    del tokens[0::3]
-    try:
-        ends = _ints(tokens, n)
-    except ValueError:
-        return None
-    return ends[0::2], ends[1::2]
 
 
 def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]],

@@ -18,22 +18,9 @@ constructors, so it is all they supply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Hashable
 
 from .graph import Code, RunOutcome, TwinFailure
-
-
-@dataclass(frozen=True)
-class CoverageState:
-    """Snapshot of the coverage rows after one step, for inspection in tests."""
-
-    step: int
-    rows: tuple  # rows[a-1] is N(v_a) ∩ C: a bitset (dense) or a sorted tuple (sparse snapshot)
-    code: tuple[int, ...]
-
-    def row(self, a: int):
-        return self.rows[a - 1]
 
 
 def lex_scan(
@@ -44,7 +31,6 @@ def lex_scan(
     unit: Callable[[int], Hashable],
     *,
     charge: Callable[[int, int, int], None] | None = None,
-    observer: Callable[[CoverageState], None] | None = None,
 ) -> RunOutcome:
     """Run the scan over immutable coverage rows x[0..n], where x[0] stays empty.
 
@@ -55,8 +41,7 @@ def lex_scan(
     should be a builtin such as operator.add, which runs no Python frame.
     charge(j, k, l), if given, sees every step before its insertion: k is the
     matching earlier row (j when there is none) and l the vertex chosen (0
-    when none).  observer, if given, receives a CoverageState after every
-    completed step.
+    when none).
     """
     n = len(x) - 1
     index = {x[0]: 0}  # row -> vertex, for the distinct rows 0..j-1
@@ -77,6 +62,4 @@ def lex_scan(
                 if a < j:  # rows from j on are not indexed yet
                     index[new] = index.pop(row)
         index[x[j]] = j
-        if observer is not None:
-            observer(CoverageState(j, tuple(x[1:]), tuple(sorted(code))))
     return Code(tuple(sorted(code)))

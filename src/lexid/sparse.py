@@ -9,13 +9,11 @@ exactly when they are equal as sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from operator import add
-from typing import Callable
 
 from .graph import NeighborhoodArray, RunOutcome
-from .scan import CoverageState, lex_scan
+from .scan import lex_scan
 
 
 @dataclass
@@ -83,15 +81,13 @@ def min3(a: NeighborhoodArray, j: int, k: int) -> int:
 def lex_code_sparse(
     a: NeighborhoodArray,
     *,
-    observer: Callable[[CoverageState], None] | None = None,
     tally: SparseWorkTally | None = None,
 ) -> RunOutcome:
     """Build the lexicographic code of the graph behind a, or report twins.
 
     Produces the same Code or TwinFailure as lex_code_dense on the same graph
-    and vertex order.  observer, if given, receives a CoverageState (rows as
-    sorted tuples) after every completed step; tally, if given, accumulates
-    the model element-touch cost.
+    and vertex order.  tally, if given, accumulates the model element-touch
+    cost.
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
@@ -117,9 +113,4 @@ def lex_code_sparse(
         add,
         _singleton,
         charge=charge,
-        observer=None if observer is None else partial(_sorted_snapshot, observer),
     )
-
-
-def _sorted_snapshot(observer: Callable[[CoverageState], None], state: CoverageState) -> None:
-    observer(replace(state, rows=tuple(tuple(sorted(row)) for row in state.rows)))

@@ -1,4 +1,5 @@
-"""Counting the Python frames a call runs, for tests that bound them."""
+"""Counting the Python frames a call runs, and recording the scan's steps,
+for tests that bound or check them."""
 
 import sys
 
@@ -19,3 +20,30 @@ def python_calls(action) -> int:
     finally:
         sys.setprofile(old)
     return calls
+
+
+def scan_steps(construct, view, **options):
+    """(outcome, [(j, k, l), ...]) of construct(view, **options).
+
+    The steps are the ones lex_scan passes to its charge hook.  The scan that
+    construct's module calls is swapped for the run with one that records
+    each step and then calls the charge the constructor passed, if any.
+    """
+    module = sys.modules[construct.__module__]  # lexid.sparse or lexid.dense
+    scan = module.lex_scan
+    steps = []
+
+    def recording_scan(*args, charge=None, **kwargs):
+        def record(j, k, l):
+            steps.append((j, k, l))
+            if charge is not None:
+                charge(j, k, l)
+
+        return scan(*args, charge=record, **kwargs)
+
+    module.lex_scan = recording_scan
+    try:
+        outcome = construct(view, **options)
+    finally:
+        module.lex_scan = scan
+    return outcome, steps

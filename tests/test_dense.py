@@ -81,23 +81,6 @@ class TestLexCodeDense:
             else:
                 assert out == TwinFailure(j=twins[1], k=twins[0])
 
-    def test_loop_invariant_rows_nonzero_distinct(self):
-        # after step j, rows 1..j are nonzero and pairwise distinct, and row
-        # supports only ever grow
-        for g in twin_free_corpus()[:50]:
-            previous = None
-            states = []
-            lex_code_dense(g.neighborhood_matrix, observer=states.append)
-            assert len(states) == g.n
-            for state in states:
-                head = state.rows[: state.step]
-                assert all(head)
-                assert len(set(head)) == state.step
-                if previous is not None:
-                    for a in range(1, g.n + 1):
-                        assert previous.row(a) & state.row(a) == previous.row(a)
-                previous = state
-
     def test_prefix_subset_when_prefix_identifies(self):
         # placing any identifying code at indices 1..m confines the output there
         for g in twin_free_corpus()[:60]:

@@ -11,7 +11,6 @@ from lexid import (
     Graph,
     TwinFailure,
     apply_sequence,
-    closed_neighborhood,
     find_twins,
     is_identifying_code,
     lex_code_dense,
@@ -65,23 +64,23 @@ class TestGraphConstruction:
 
 class TestClosedNeighborhood:
     def test_isolated_vertex(self):
-        assert closed_neighborhood(Graph(3), 2) == (2,)
+        assert Graph(3).neighborhood_array.neighborhood(2) == (2,)
 
     def test_path_center(self):
-        assert closed_neighborhood(path_graph(3), 2) == (1, 2, 3)
+        assert path_graph(3).neighborhood_array.neighborhood(2) == (1, 2, 3)
 
     def test_fixture_vertex_six(self):
-        assert closed_neighborhood(nonminimal_grid_fixture(), 6) == (4, 6, 7)
+        assert nonminimal_grid_fixture().neighborhood_array.neighborhood(6) == (4, 6, 7)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            closed_neighborhood(path_graph(3), 4)
+        with pytest.raises(ValueError, match=r"vertex 4 out of range 1\.\.3"):
+            path_graph(3).neighborhood_array.neighborhood(4)
 
     @given(graphs())
     def test_contains_self_and_matches_edge_sets(self, g):
         nbhd = neighborhood_sets(g)
         for v in range(1, g.n + 1):
-            got = closed_neighborhood(g, v)
+            got = g.neighborhood_array.neighborhood(v)
             assert v in got
             assert set(got) == nbhd[v]
             assert list(got) == sorted(got)
@@ -209,7 +208,9 @@ class TestRelabel:
         assert relabeled._lists == apply_sequence(g, sequence).neighborhood_array._lists
         assert relabeled._lists[0] == ()  # the scan's empty sentinel
 
-    @pytest.mark.parametrize("bad", [[1, 1, 2], [1, 2], [1, 2, 3, 4], [0, 1, 2], [1, 2, 4]])
+    @pytest.mark.parametrize(
+        "bad", [[1, 1, 2], [1, 2], [1, 2, 3, 4], [0, 1, 2], [1, 2, 4], [1.0, 2.0, 3.0], [True, 2, 3]]
+    )
     def test_rejects_non_bijection_like_apply_sequence(self, bad):
         g = path_graph(3)
         with pytest.raises(ValueError) as expected:
@@ -233,7 +234,7 @@ class TestDerivedMatrix:
             assert b.n == h.n
             assert b._rows == tuple(rows)
             for j in range(1, h.n + 1):
-                assert a.neighborhood(j) == closed_neighborhood(h, j) == tuple(sorted(nbhd[j]))
+                assert a.neighborhood(j) == h.neighborhood_array.neighborhood(j) == tuple(sorted(nbhd[j]))
 
 
 class TestDomainTypes:

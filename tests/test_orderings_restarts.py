@@ -233,6 +233,12 @@ class TestRunRestarts:
         assert report.best_code == expected
         assert isinstance(expected, Code)
 
+    @pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [True, 2, 3]])
+    def test_explicit_strategy_with_non_int_entries_rejected(self, bad):
+        with pytest.raises(ValueError) as info:
+            run_restarts(path_graph(3), bad, 2)
+        assert str(info.value) == f"not a permutation of 1..3: {tuple(bad)!r}"
+
     def test_reordered_runs_agree_with_apply_sequence(self):
         for i, g in enumerate(twin_free_corpus()[::20]):
             seq = OrderingStrategy("random").sequence_for(g, SplitMix64(i))

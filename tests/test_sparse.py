@@ -1,11 +1,10 @@
-from copy import deepcopy
-
 import pytest
 
 from lexid import (
     Code,
     Graph,
     TwinFailure,
+    find_twins,
     lex_code_dense,
     lex_code_sparse,
     min2,
@@ -13,9 +12,12 @@ from lexid import (
     nonminimal_grid_fixture,
     path_graph,
 )
+from lexid.dense import DenseWorkTally
 from lexid.sparse import SparseWorkTally
 
+from calls import scan_steps
 from corpus import small_corpus, twin_free_corpus
+from oracles import brute_min_sym_diff, neighborhood_sets
 
 
 def sparse(g):
@@ -62,18 +64,6 @@ class TestLexCodeSparse:
         for g in small_corpus():
             assert sparse(g) == lex_code_dense(g.neighborhood_matrix)
 
-    def test_loop_invariant_lists_nonempty_distinct_sorted(self):
-        for g in twin_free_corpus()[:50]:
-            states = []
-            lex_code_sparse(g.neighborhood_array, observer=states.append)
-            assert len(states) == g.n
-            for state in states:
-                head = state.rows[: state.step]
-                assert all(head)
-                assert len(set(head)) == state.step
-                for row in state.rows:
-                    assert list(row) == sorted(row)
-
     def test_work_counter_bounded_by_quadratic_degree_budget(self):
         # total element touches stay O(n^2 * d): comparisons cost at most
         # (d+2) each over at most n(n-1)/2 candidate pairs, plus O(n*d) rest
@@ -92,29 +82,48 @@ class TestLexCodeSparse:
         assert t1 == t2
         assert t1.total > 0
 
-    def test_observer_snapshots_stay_detached_from_the_run(self):
-        # a snapshot taken at step j still holds step j's rows after the run
-        g = nonminimal_grid_fixture()
-        for construct, view in (
-            (lex_code_sparse, g.neighborhood_array),
-            (lex_code_dense, g.neighborhood_matrix),
-        ):
-            pairs = []
-            construct(view, observer=lambda state: pairs.append((state, deepcopy(state))))
-            assert len(pairs) == g.n
-            assert all(state == copy for state, copy in pairs)
 
-    def test_insertion_touches_only_neighbor_lists(self):
-        # between consecutive steps, a row may change only if the vertex is
-        # covered by the codeword added at that step
-        g = nonminimal_grid_fixture()
-        states = []
-        lex_code_sparse(g.neighborhood_array, observer=states.append)
-        nbhd = g.neighborhood_array
-        for before, after in zip(states, states[1:]):
-            added = set(after.code) - set(before.code)
-            assert len(added) <= 1
-            for a in range(1, g.n + 1):
-                if before.row(a) != after.row(a):
-                    (l,) = added
-                    assert a in nbhd.neighborhood(l)
+@pytest.mark.parametrize(
+    "construct, view, tally_type",
+    [
+        (lex_code_sparse, "neighborhood_array", SparseWorkTally),
+        (lex_code_dense, "neighborhood_matrix", DenseWorkTally),
+    ],
+    ids=["sparse", "dense"],
+)
+def test_recorded_steps_keep_the_loop_invariant(construct, view, tally_type):
+    # after step j the traces N(v_a) ∩ C of v_1..v_j are non-empty and
+    # distinct, rebuilt here from the codewords the recorded steps added
+    twin_graphs = tuple(g for g in small_corpus() if find_twins(g) is not None)[:5]
+    assert len(twin_graphs) == 5
+    for g in twin_free_corpus()[:50] + twin_graphs:
+        tally, plain = tally_type(), tally_type()
+        outcome, steps = scan_steps(construct, getattr(g, view), tally=tally)
+        assert outcome == construct(getattr(g, view), tally=plain)
+        assert tally == plain  # the recording chains onto the tally's charge
+        nbhd = neighborhood_sets(g)
+        code: set[int] = set()
+        for step, (j, k, l) in enumerate(steps, 1):
+            assert j == step
+            trace = nbhd[j] & code
+            match = [a for a in range(1, j) if nbhd[a] & code == trace]
+            if not trace:
+                assert (k, l) == (0, min(nbhd[j]))
+            elif match:
+                assert [k] == match
+                assert l == brute_min_sym_diff(g, j, k)
+            else:
+                assert (k, l) == (j, 0)
+            if l > g.n:
+                assert (k, j) == find_twins(g)
+                assert j == len(steps)
+                assert outcome == TwinFailure(j=j, k=k)
+                break
+            if l:
+                code.add(l)
+            traces = [nbhd[a] & code for a in range(1, j + 1)]
+            assert all(traces)
+            assert len(set(traces)) == j
+        else:
+            assert len(steps) == g.n
+            assert outcome == Code(tuple(sorted(l for _, _, l in steps if l)))
