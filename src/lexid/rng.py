@@ -5,9 +5,19 @@ constant and each output is a finalizing mix of the new state.  It is tiny,
 seedable, and easy to reproduce bit-for-bit in any language, which is why it
 backs every randomized feature of this package (G(n,p) sampling, random
 vertex orderings, per-restart seed derivation).
+
+No step of the mix carries from one output to the next, so G(n, p) rows and
+shuffles draw their outputs in blocks: up to MAX_LANES outputs at once, each
+in its own 128-bit lane of one Python int, in a fixed number of big-int
+operations per block.  Every block draw gives the same outputs, and leaves
+the same state, as one next_u64() per output.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from operator import mod
 
 MASK64 = (1 << 64) - 1
 
@@ -15,21 +25,54 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+_TWO64 = MASK64 + 1
+
 # one lane of a block draw: 128 bits whose low byte is 1, little-endian
 _LANE_ONE = (1).to_bytes(16, "little")
+
+# the most outputs one block draws; longer draws take several blocks
+MAX_LANES = 512
+
+# lane constants of the longest block drawn so far, shared by every generator:
+# (lanes, ONE, STEPS), where ONE holds 1 in each 128-bit lane and STEPS holds
+# (i + 1) * GAMMA in lane i.  Every tuple stored is valid for its lane count,
+# so threads that race on it at worst build it twice.
+_lane_constants = (0, 0, 0)
+
+
+def _block(state: int, count: int) -> tuple[int, int]:
+    """(ONE, z) for the `count` outputs that follow `state`, 0 <= count <= MAX_LANES:
+    ONE holds 1 in each of `count` 128-bit lanes, and lane i of z holds output i.
+
+    The outputs are computed together, in a fixed number of big-int
+    operations, and no operation carries into the next lane.  Lane i starts
+    as state + (i + 1) * GAMMA, the lane-wise xor-shifts leave their spill
+    above bit 63 where the lane mask drops it, and each product stays below
+    2**128.
+    """
+    global _lane_constants
+    block = (1 << 128 * count) - 1
+    cached, one, steps = _lane_constants
+    if count > cached:
+        one = int.from_bytes(_LANE_ONE * count, "little")
+        # the low lanes of ONE**2 hold 1, 2, ..., count: lane i sums i + 1 ones
+        steps = ((one * one) & block) * _GAMMA
+        _lane_constants = (count, one, steps)
+    one &= block
+    lanes = one * MASK64
+    z = (state * one + (steps & block)) & lanes
+    z = (((z ^ (z >> 30)) & lanes) * _MIX1) & lanes
+    z = (((z ^ (z >> 27)) & lanes) * _MIX2) & lanes
+    return one, (z ^ (z >> 31)) & lanes
 
 
 class SplitMix64:
     """splitmix64 stream; one 64-bit output per step."""
 
-    __slots__ = ("_state", "_lanes", "_one", "_steps")
+    __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
         self._state = seed & MASK64
-        # lane constants of the longest block drawn so far: ONE holds 1 in
-        # each of `_lanes` 128-bit lanes, and `_steps` holds (i + 1) * GAMMA
-        # in lane i
-        self._lanes = self._one = self._steps = 0
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & MASK64
@@ -56,49 +99,52 @@ class SplitMix64:
         """Advance the stream by `count` outputs; byte i of the result is 1 if
         output i is < limit and 0 if not, for 0 <= limit <= 2**64.
 
-        The outputs are computed together, in a fixed number of big-int
-        operations: output i is mixed in bits 128*i .. 128*i + 63 of one int,
-        and no operation carries into the next lane.  Its state is
-        state + (i + 1) * GAMMA, the lane-wise xor-shifts leave their spill
-        above bit 63 where the lane mask drops it, and each product stays
-        below 2**128.  Bit 64 of lane i of (2**64 - 1 + limit) * ONE - z is
-        set iff output z_i < limit, and byte 8 of each lane reads it out.
+        The outputs are drawn in blocks of at most MAX_LANES.  Bit 64 of
+        lane i of (2**64 - 1 + limit) * ONE - z is set iff output z_i < limit,
+        and byte 8 of each lane reads it out.
         """
-        if count < 0 or not 0 <= limit <= MASK64 + 1:
+        if count < 0 or not 0 <= limit <= _TWO64:
             raise ValueError(f"need count >= 0 and 0 <= limit <= 2**64, got {count} and {limit}")
-        block = (1 << 128 * count) - 1
-        if count > self._lanes:
-            one = int.from_bytes(_LANE_ONE * count, "little")
-            # the low lanes of ONE**2 hold 1, 2, ..., count: lane i sums i + 1 ones
-            self._lanes, self._one, self._steps = count, one, ((one * one) & block) * _GAMMA
-        one = self._one & block
-        lanes = one * MASK64
-        z = (self._state * one + (self._steps & block)) & lanes
-        z = (((z ^ (z >> 30)) & lanes) * _MIX1) & lanes
-        z = (((z ^ (z >> 27)) & lanes) * _MIX2) & lanes
-        z = (z ^ (z >> 31)) & lanes
-        self._state = (self._state + count * _GAMMA) & MASK64
-        return ((MASK64 + limit) * one - z).to_bytes(16 * count, "little")[8::16]
+        state, flags = self._state, []
+        for start in range(0, count, MAX_LANES):
+            size = min(MAX_LANES, count - start)
+            one, z = _block(state, size)
+            flags.append(((MASK64 + limit) * one - z).to_bytes(16 * size, "little")[8::16])
+            state = (state + size * _GAMMA) & MASK64
+        self._state = state
+        return b"".join(flags)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, drawing indices high-to-low.
 
-        Draws each index as randbelow(i + 1) would, inlined on a local state.
+        Draws each index as randbelow(i + 1) would, so the permutation and
+        the state left behind are those of one randbelow per index, but in
+        blocks of up to MAX_LANES outputs.  The draw for index i is kept when
+        it is below 2**64 - 2**64 % (i + 1), which is at least 2**64 - i; so a
+        block whose largest output is below 2**64 - hi, for its highest index
+        hi, keeps every draw.  Otherwise the exact limits find the block's
+        first rejected draw: the block ends there, the rejected output is
+        consumed, and the next block draws that index again.
         """
-        gamma, mix1, mix2, mask, two64 = _GAMMA, _MIX1, _MIX2, MASK64, MASK64 + 1
-        state = self._state
-        for i in range(len(items) - 1, 0, -1):
-            bound = i + 1
-            limit = two64 - two64 % bound
-            while True:
-                state = (state + gamma) & mask
-                z = ((state ^ (state >> 30)) * mix1) & mask
-                z = ((z ^ (z >> 27)) * mix2) & mask
-                z ^= z >> 31
-                if z < limit:
-                    break
-            j = z % bound
-            items[i], items[j] = items[j], items[i]
+        state, hi = self._state, len(items) - 1
+        while hi > 0:
+            count = min(hi, MAX_LANES)
+            one, z = _block(state, count)
+            outputs = array("Q", z.to_bytes(16 * count, "little"))[::2]
+            if sys.byteorder == "big":  # array reads machine byte order
+                outputs.byteswap()
+            bounds = range(hi + 1, hi + 1 - count, -1)
+            kept = used = count
+            # bit 64 of lane i of z + hi * ONE is set iff output i >= 2**64 - hi
+            if (z + hi * one) >> 64 & one:
+                for k, (x, bound) in enumerate(zip(outputs, bounds)):
+                    if x >= _TWO64 - _TWO64 % bound:
+                        kept, used = k, k + 1
+                        break
+            for i, j in zip(range(hi, hi - kept, -1), map(mod, outputs, bounds)):
+                items[i], items[j] = items[j], items[i]
+            state = (state + used * _GAMMA) & MASK64
+            hi -= kept
         self._state = state
 
 

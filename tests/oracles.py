@@ -132,6 +132,32 @@ def reference_shuffle(rng, items: list) -> None:
         items[i], items[j] = items[j], items[i]
 
 
+# splitmix64's published constants, kept apart from the package's
+GAMMA, _MIX1, _MIX2, _MASK64 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 2**64 - 1
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == y: repeating the xor-shift on y fixes
+    `shift` more of x's top bits each time."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def seed_for_output(k: int, z: int) -> int:
+    """The seed whose k-th output (0-based) is z.
+
+    splitmix64's finalizer is a bijection of 64-bit words: undo its
+    xor-shifts, and its multiplies by their inverses mod 2**64, to get the
+    state that yields z, then step that state back k + 1 gammas.
+    """
+    x = _unxorshift(z, 31)
+    x = _unxorshift((x * pow(_MIX2, -1, 2**64)) & _MASK64, 27)
+    x = _unxorshift((x * pow(_MIX1, -1, 2**64)) & _MASK64, 30)
+    return (x - (k + 1) * GAMMA) & _MASK64
+
+
 # The streaming front end: the parsers draw one significant line at a time and
 # feed each parsed pair to the per-pair edge rules, so the first fault in file
 # order is the one raised.  The package's bulk parsers and Graph must agree

@@ -2,10 +2,11 @@ import os
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lexid.restarts
+import lexid.rng
 from lexid import (
     Code,
     Graph,
@@ -27,7 +28,8 @@ from lexid import (
 )
 
 from corpus import graphs, twin_free_corpus
-from oracles import reference_shuffle
+from lexid.rng import MAX_LANES
+from oracles import GAMMA, reference_shuffle, seed_for_output
 
 
 def allow_workers(monkeypatch, cpus):
@@ -54,6 +56,65 @@ def in_children(parent, action):
             action()
         return lex_code_sparse(array)
     return construct
+
+
+class CountingSplitMix64(SplitMix64):
+    """splitmix64 that counts the outputs drawn."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.drawn = 0
+
+    def next_u64(self):
+        self.drawn += 1
+        return super().next_u64()
+
+
+def scripted_output(script, k):
+    """Output k of a stream that is SplitMix64(0)'s except where `script` gives it."""
+    return script[k] if k in script else SplitMix64(k * GAMMA).next_u64()
+
+
+def outputs_drawn(state):
+    """How many outputs a stream started at state 0 has drawn when it reaches `state`."""
+    return state * pow(GAMMA, -1, 2**64) % 2**64
+
+
+class ScriptedSplitMix64(SplitMix64):
+    """A generator started at state 0 whose outputs follow `script`."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = script
+
+    def next_u64(self):
+        k = outputs_drawn(self._state)
+        self._state = (self._state + GAMMA) % 2**64
+        return scripted_output(self.script, k)
+
+
+def scripted_block(script):
+    """A stand-in for lexid.rng._block that draws the same outputs as ScriptedSplitMix64(script)."""
+    def block(state, count):
+        k = outputs_drawn(state)
+        one = int.from_bytes((1).to_bytes(16, "little") * count, "little")
+        lanes = b"".join(scripted_output(script, k + t).to_bytes(16, "little") for t in range(count))
+        return one, int.from_bytes(lanes, "little")
+    return block
+
+
+def crafted_draws():
+    """(length, draw, z) cases where output `draw`, the draw for index
+    i = length - 1 - draw, is z: 2**64 - 1 or the exact limit
+    2**64 - 2**64 % (i + 1), both rejected unless i + 1 divides 2**64, or
+    2**64 - i, which is kept although it fails the whole-block test.  The
+    draws are the first, a middle and the last, and the last lane of one
+    block and the first of the next."""
+    for length in (2, 3, 6, 100, 129, MAX_LANES, MAX_LANES + 1, MAX_LANES + 2, 2 * MAX_LANES + 7):
+        for draw in sorted({0, (length - 1) // 2, length - 2, MAX_LANES - 1, MAX_LANES} & set(range(length - 1))):
+            i = length - 1 - draw
+            for z in sorted({2**64 - 1, 2**64 - 2**64 % (i + 1), 2**64 - i} - {2**64}):
+                yield length, draw, z
 
 
 class TestSplitMix64:
@@ -87,7 +148,7 @@ class TestSplitMix64:
             st.integers(0, 2**64 - 1),
             st.builds(derive_seed, st.integers(0, 2**64 - 1), st.integers(0, 1000)),
         ),
-        st.integers(0, 300),
+        st.integers(0, 3 * MAX_LANES + 2),
     )
     @settings(max_examples=300)
     def test_shuffle_matches_reference(self, seed, length):
@@ -102,7 +163,7 @@ class TestSplitMix64:
 
     @given(
         st.one_of(st.sampled_from([0, 2**64 - 1, 2**64, -1]), st.integers(0, 2**64 - 1)),
-        st.lists(st.tuples(st.integers(0, 300), st.integers(0, 2**64)), max_size=4),
+        st.lists(st.tuples(st.integers(0, 3 * MAX_LANES + 2), st.integers(0, 2**64)), max_size=4),
         st.data(),
     )
     @settings(max_examples=300)
@@ -121,6 +182,47 @@ class TestSplitMix64:
     def test_flags_below_rejects_a_bad_block(self, count, limit):
         with pytest.raises(ValueError):
             SplitMix64(0).flags_below(count, limit)
+
+    @given(st.integers(0, 2000), st.integers(0, 2**64 - 1))
+    def test_seed_for_output_inverts_the_stream(self, k, z):
+        rng = SplitMix64(seed_for_output(k, z))
+        for _ in range(k):
+            rng.next_u64()
+        assert rng.next_u64() == z
+
+    @pytest.mark.parametrize("length, draw, z", crafted_draws())
+    def test_shuffle_matches_reference_at_a_crafted_draw(self, length, draw, z):
+        items, expected = list(range(length)), list(range(length))
+        rng, ref = SplitMix64(seed_for_output(draw, z)), CountingSplitMix64(seed_for_output(draw, z))
+        rng.shuffle(items)
+        reference_shuffle(ref, expected)
+        i = length - 1 - draw
+        assert ref.drawn == length - 1 + (z >= 2**64 - 2**64 % (i + 1))
+        assert items == expected
+        assert rng.next_u64() == ref.next_u64()
+
+    @given(
+        st.integers(2, 2 * MAX_LANES + 2),
+        st.lists(st.tuples(st.integers(0, 3 * MAX_LANES), st.integers(0, 2 * MAX_LANES + 3)), max_size=8),
+        st.integers(0, 3),
+    )
+    @example(length=6, overrides=[(1, 0), (2, 0)], run=0)  # index 4 rejected twice
+    @example(length=MAX_LANES + 10, overrides=[], run=3)  # three in a row across a block's edge
+    @settings(max_examples=50)
+    def test_shuffle_matches_reference_on_a_scripted_stream(self, length, overrides, run):
+        # outputs no seed can give together: rejections in a row, and several
+        # rejections in one shuffle, some on a block's edge
+        script = {k: 2**64 - 1 - offset for k, offset in overrides}
+        for k in range(MAX_LANES - 1, MAX_LANES - 1 + run):
+            script[k] = 2**64 - 1
+        items, expected = list(range(length)), list(range(length))
+        rng, ref = SplitMix64(0), ScriptedSplitMix64(script)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lexid.rng, "_block", scripted_block(script))
+            rng.shuffle(items)
+        reference_shuffle(ref, expected)
+        assert items == expected
+        assert rng._state == ref._state
 
     def test_derive_seed_prefix_stable(self):
         assert [derive_seed(7, i) for i in range(5)] == [derive_seed(7, i) for i in range(5)]
