@@ -3,12 +3,16 @@ import gc
 import io
 import json
 import os
+import re
 
 import pytest
 
-import lexid.restarts
 from lexid import (
     ClosedNeighborhoodMatrix,
+    OrderingStrategy,
+    SplitMix64,
+    code_to_original,
+    derive_seed,
     gnp_graph,
     lex_code_sparse,
     nonminimal_grid_fixture,
@@ -301,22 +305,30 @@ class TestRestartsCommand:
         assert main(["restarts", "--restarts", "0", p3_file]) == 1
         assert capsys.readouterr().err == "lexid: error: restarts must be >= 1, got 0\n"
 
-    def test_a_worker_that_dies_exits_one(self, fixture_file, monkeypatch, capsys):
-        parent = os.getpid()
+    def test_a_batch_runs_in_this_process(self, tmp_path, monkeypatch, capsys):
+        # restarts-gnp128's call: a process's own resource usage sees all of its memory
+        g = gnp_graph(128, 0.1, derive_seed(0, 128))
+        path = tmp_path / "gnp128.txt"
+        path.write_text(to_edge_list(g))
+        lines = []
+        best = None
+        for i in range(200):
+            restart_seed = derive_seed(0, i)
+            sequence = OrderingStrategy("random").sequence_for(g, SplitMix64(restart_seed))
+            outcome = lex_code_sparse(g.neighborhood_array.relabel(sequence))
+            if best is None or len(outcome) < len(best):
+                best = code_to_original(outcome, sequence)
+            lines.append(f"restart {i}: seed={restart_seed} cardinality={len(outcome)} seconds=*")
+        expected = ["strategy: random", "restarts: 200", "best: " + " ".join(map(str, best)),
+                    f"best cardinality: {len(best)}"] + lines
 
-        def construct(array):
-            if os.getpid() != parent:
-                os._exit(3)
-            return lex_code_sparse(array)
+        def refusing_fork():
+            raise OSError("a restart batch forked")
 
-        monkeypatch.setattr(lexid.restarts, "MIN_BLOCK", 1)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
-        assert main(["restarts", "--restarts", "4", fixture_file]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("lexid: error: restart worker ")
-        assert captured.err.endswith(" ended without a result (exit code 3)\n")
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        assert main(["restarts", "--restarts", "200", "--seed", "0", str(path)]) == 0
+        out = re.sub(r"seconds=\d+\.\d{6}$", "seconds=*", capsys.readouterr().out, flags=re.M)
+        assert out.splitlines() == expected
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

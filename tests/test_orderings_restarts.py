@@ -1,8 +1,5 @@
-import os
-import time
-
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lexid.restarts
@@ -16,7 +13,6 @@ from lexid import (
     apply_sequence,
     code_to_original,
     derive_seed,
-    find_twins,
     gnp_graph,
     is_identifying_code,
     lex_code_dense,
@@ -27,35 +23,9 @@ from lexid import (
     run_restarts,
 )
 
-from corpus import graphs, twin_free_corpus
+from corpus import twin_free_corpus
 from lexid.rng import MAX_LANES
 from oracles import GAMMA, reference_shuffle, seed_for_output
-
-
-def allow_workers(monkeypatch, cpus):
-    """Let run_restarts use `cpus` workers, one block per restart at least; returns the forked pids."""
-    monkeypatch.setattr(lexid.restarts, "MIN_BLOCK", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    forks = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return forks
-
-
-def in_children(parent, action):
-    """A stand-in for lex_code_sparse that runs `action` in forked children only."""
-    def construct(array):
-        if os.getpid() != parent:
-            action()
-        return lex_code_sparse(array)
-    return construct
 
 
 class CountingSplitMix64(SplitMix64):
@@ -351,20 +321,19 @@ class TestRunRestarts:
 
     def test_restarts_build_no_graph(self, monkeypatch):
         g = gnp_graph(64, 0.1, 7)
+        builds = []
+        init = Graph.__init__
 
-        def refusing_init(self, *args, **kwargs):
-            # raising, not counting: a count kept in a forked child never reaches this process
-            raise AssertionError("a restart built a Graph")
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(Graph, "__init__", refusing_init)
-        for cpus in (1, 2):
-            with monkeypatch.context() as patch:
-                forks = allow_workers(patch, cpus)
-                report = run_restarts(g, "random", restarts=50)
-            assert len(report.cardinalities) == 50
-            assert len(forks) == cpus - 1
-        with pytest.raises(AssertionError, match="built a Graph"):
-            apply_sequence(g, list(range(1, g.n + 1)))  # the patch does see a rebuild
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        report = run_restarts(g, "random", restarts=50)
+        assert len(report.cardinalities) == 50
+        assert builds == []
+        apply_sequence(g, list(range(1, g.n + 1)))
+        assert len(builds) == 1  # the patch does see a rebuild
 
     def test_maps_back_only_on_a_strict_improvement(self, monkeypatch):
         # only the batch's first strictly smallest code is mapped back, once
@@ -376,15 +345,9 @@ class TestRunRestarts:
             return map_back(code, sequence)
 
         monkeypatch.setattr(lexid.restarts, "code_to_original", counting_map_back)
-        g = gnp_graph(128, 0.1, derive_seed(0, 128))
-        for cpus in (1, 2):
-            calls.clear()
-            with monkeypatch.context() as patch:
-                forks = allow_workers(patch, cpus)
-                report = run_restarts(g, "random", 200, 0)
-            assert len(forks) == cpus - 1
-            assert report.cardinalities[:3] == (33, 30, 28)  # each improves on the ones before
-            assert calls == [report.best_cardinality]
+        report = run_restarts(gnp_graph(128, 0.1, derive_seed(0, 128)), "random", 200, 0)
+        assert report.cardinalities[:3] == (33, 30, 28)  # each improves on the ones before
+        assert calls == [report.best_cardinality]
 
     def test_ties_keep_the_first_restart_at_the_minimum(self):
         # the pinned fixture batch (tests/test_restart_pins.py) reaches its
@@ -400,71 +363,19 @@ class TestRunRestarts:
         assert len(set(codes)) > 1
         assert report.best_code == codes[0]
 
-
-class TestRestartBlocks:
-    """Blocks 1..W-1 of a batch run in forked children; the report must not show it."""
-
-    INSTANCES = {
-        "gnp128": lambda: gnp_graph(128, 0.1, derive_seed(0, 128)),
-        "fixture": nonminimal_grid_fixture,
-    }
-
-    @staticmethod
-    def same_report(report, reference):
-        assert report.strategy == reference.strategy
-        assert report.cardinalities == reference.cardinalities
-        assert report.seeds == reference.seeds
-        assert report.best_code == reference.best_code
-        assert report.best_cardinality == reference.best_cardinality
-        assert len(report.elapsed_seconds) == len(reference.elapsed_seconds)
-
-    # 20 is the pinned batch size; 7 is divisible by none of 2, 3 and 5; 3 < 5
-    @pytest.mark.parametrize("strategy, restarts", [("random", 20), ("random", 7),
-                                                    ("random", 3), ("degree-desc", 3)])
-    @pytest.mark.parametrize("name", sorted(INSTANCES))
-    def test_report_is_the_same_for_any_worker_count(self, monkeypatch, name, strategy, restarts):
-        g = self.INSTANCES[name]()
-        serial = run_restarts(g, strategy, restarts, seed=0)
-        for cpus in (1, 2, 3, 5):
-            with monkeypatch.context() as patch:
-                forks = allow_workers(patch, cpus)
-                report = run_restarts(g, strategy, restarts, seed=0)
-            # a non-random ordering constructs its one code once, in process
-            assert len(forks) == (min(cpus, restarts) - 1 if strategy == "random" else 0)
-            self.same_report(report, serial)
-
-    @settings(max_examples=30, deadline=None)
-    @given(graphs(max_n=10), st.integers(1, 9), st.integers(0, 2**64 - 1), st.sampled_from([2, 3, 5]))
-    def test_report_is_the_same_for_any_worker_count_on_twin_free_graphs(self, g, restarts, seed, cpus):
-        assume(find_twins(g) is None)
-        serial = run_restarts(g, "random", restarts, seed)
-        with pytest.MonkeyPatch.context() as patch:
-            forks = allow_workers(patch, cpus)
-            report = run_restarts(g, "random", restarts, seed)
-        assert len(forks) == min(cpus, restarts) - 1
-        self.same_report(report, serial)
-
-    def test_small_batches_stay_in_process(self, monkeypatch):
-        min_block = lexid.restarts.MIN_BLOCK
-        forks = allow_workers(monkeypatch, 2)
-        monkeypatch.setattr(lexid.restarts, "MIN_BLOCK", min_block)
-        run_restarts(nonminimal_grid_fixture(), "random", 20, seed=0)
-        assert forks == []
-        run_restarts(nonminimal_grid_fixture(), "random", 2 * lexid.restarts.MIN_BLOCK, seed=0)
-        assert len(forks) == 1
-
-    def test_an_invalid_explicit_sequence_fails_before_any_fork(self, monkeypatch):
+    def test_an_invalid_explicit_sequence_fails_before_any_construction(self, monkeypatch):
         g = nonminimal_grid_fixture()
-        with pytest.raises(ValueError) as serial:
+        with pytest.raises(ValueError) as single:
             run_restarts(g, (1, 2, 3), 1, seed=0)
-        forks = allow_workers(monkeypatch, 2)
+        constructions = []
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", constructions.append)
         with pytest.raises(ValueError) as info:
             run_restarts(g, (1, 2, 3), 8, seed=0)
-        assert str(info.value) == str(serial.value) == "not a permutation of 1..9: (1, 2, 3)"
-        assert forks == []
+        assert str(info.value) == str(single.value) == "not a permutation of 1..9: (1, 2, 3)"
+        assert constructions == []
 
     @pytest.mark.parametrize("strategy", ["identity", "degree-asc", "degree-desc", (9, 8, 7, 6, 5, 4, 3, 2, 1)])
-    def test_a_non_random_ordering_is_built_once_per_batch(self, monkeypatch, strategy):
+    def test_a_non_random_ordering_is_built_and_constructed_once_per_batch(self, monkeypatch, strategy):
         calls = []
         sequence_for = OrderingStrategy.sequence_for
 
@@ -472,61 +383,20 @@ class TestRestartBlocks:
             calls.append(self.kind)
             return sequence_for(self, g, rng)
 
-        monkeypatch.setattr(OrderingStrategy, "sequence_for", counting_sequence_for)
-        report = run_restarts(nonminimal_grid_fixture(), strategy, 20, seed=0)
-        assert len(calls) == 1
-        assert len(set(report.cardinalities)) == 1
-        assert report.seeds == tuple(derive_seed(0, i) for i in range(20))
-
         constructions = []
 
         def counting_construct(array):
-            constructions.append(os.getpid())
+            constructions.append(array)
             return lex_code_sparse(array)
 
-        forks = allow_workers(monkeypatch, 2)
+        monkeypatch.setattr(OrderingStrategy, "sequence_for", counting_sequence_for)
         monkeypatch.setattr(lexid.restarts, "lex_code_sparse", counting_construct)
+        report = run_restarts(nonminimal_grid_fixture(), strategy, 20, seed=0)
+        assert len(calls) == len(constructions) == 1
+        assert len(set(report.cardinalities)) == 1
+        assert report.seeds == tuple(derive_seed(0, i) for i in range(20))
+
         batch = run_restarts(nonminimal_grid_fixture(), strategy, 150, seed=0)
-        assert constructions == [os.getpid()] and forks == []
+        assert len(calls) == len(constructions) == 2
         assert batch.cardinalities == report.cardinalities[:1] * 150
         assert len(set(batch.elapsed_seconds)) == 1 and batch.best_code == report.best_code
-
-    def test_a_child_exception_reaches_the_caller(self, monkeypatch):
-        forks = allow_workers(monkeypatch, 3)
-
-        def fail():
-            raise KeyError(f"block failed in worker {os.getpid()}")
-
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", in_children(os.getpid(), fail))
-        with pytest.raises(KeyError) as info:
-            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
-        assert info.value.args == (f"block failed in worker {forks[0]}",)  # block 1 fails first
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_child_that_exits_mid_block_raises_child_process_error(self, monkeypatch):
-        allow_workers(monkeypatch, 3)
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", in_children(os.getpid(), lambda: os._exit(3)))
-        with pytest.raises(ChildProcessError, match="ended without a result"):
-            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("interrupt", [ValueError, KeyboardInterrupt])
-    def test_the_callers_failure_kills_the_children(self, monkeypatch, interrupt):
-        # the children would sleep for 30 s; the caller's block fails at once
-        allow_workers(monkeypatch, 3)
-        parent = os.getpid()
-
-        def construct(array):
-            if os.getpid() == parent:
-                raise interrupt("caller's block failed")
-            time.sleep(30)
-
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
-        start = time.perf_counter()
-        with pytest.raises(interrupt, match="caller's block failed"):
-            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
-        assert time.perf_counter() - start < 10
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
