@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import lexid.restarts
 from lexid import (
     ClosedNeighborhoodMatrix,
     OrderingStrategy,
@@ -304,6 +305,22 @@ class TestRestartsCommand:
     def test_zero_restarts_usage_error(self, p3_file, capsys):
         assert main(["restarts", "--restarts", "0", p3_file]) == 1
         assert capsys.readouterr().err == "lexid: error: restarts must be >= 1, got 0\n"
+
+    def test_a_failing_restart_exits_one(self, fixture_file, monkeypatch, capsys):
+        constructions = []
+
+        def construct(array):
+            constructions.append(array)
+            if len(constructions) == 3:
+                raise ValueError("restart 2 failed")
+            return lex_code_sparse(array)
+
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
+        assert main(["restarts", "--restarts", "4", fixture_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lexid: error: restart 2 failed\n"
+        assert len(constructions) == 3
 
     def test_a_batch_runs_in_this_process(self, tmp_path, monkeypatch, capsys):
         # restarts-gnp128's call: a process's own resource usage sees all of its memory

@@ -1,5 +1,7 @@
+import os
+
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import lexid.restarts
@@ -13,6 +15,7 @@ from lexid import (
     apply_sequence,
     code_to_original,
     derive_seed,
+    find_twins,
     gnp_graph,
     is_identifying_code,
     lex_code_dense,
@@ -23,7 +26,7 @@ from lexid import (
     run_restarts,
 )
 
-from corpus import twin_free_corpus
+from corpus import graphs, twin_free_corpus
 from lexid.rng import MAX_LANES
 from oracles import GAMMA, reference_shuffle, seed_for_output
 
@@ -400,3 +403,74 @@ class TestRunRestarts:
         assert len(calls) == len(constructions) == 2
         assert batch.cardinalities == report.cardinalities[:1] * 150
         assert len(set(batch.elapsed_seconds)) == 1 and batch.best_code == report.best_code
+
+
+class TestRestartLoop:
+    """run_restarts against a plain loop that builds and constructs every restart."""
+
+    INSTANCES = {
+        "gnp128": lambda: gnp_graph(128, 0.1, derive_seed(0, 128)),
+        "fixture": nonminimal_grid_fixture,
+    }
+
+    @staticmethod
+    def same_as_reference(report, g, strategy, restarts, seed):
+        cardinalities = []
+        best = None
+        for i in range(restarts):
+            sequence = OrderingStrategy(strategy).sequence_for(g, SplitMix64(derive_seed(seed, i)))
+            code = code_to_original(lex_code_sparse(apply_sequence(g, sequence).neighborhood_array), sequence)
+            cardinalities.append(code.cardinality)
+            if best is None or code.cardinality < best.cardinality:
+                best = code
+        assert report.strategy == strategy
+        assert report.cardinalities == tuple(cardinalities)
+        assert report.seeds == tuple(derive_seed(seed, i) for i in range(restarts))
+        assert report.best_code == best
+        assert report.best_cardinality == best.cardinality
+        assert len(report.elapsed_seconds) == restarts
+
+    # 20 is the pinned batch size; 7 and 3 are odd sizes; degree-desc is a non-random ordering
+    @pytest.mark.parametrize("strategy, restarts", [("random", 20), ("random", 7),
+                                                    ("random", 3), ("degree-desc", 3)])
+    @pytest.mark.parametrize("name", sorted(INSTANCES))
+    def test_report_matches_a_per_restart_reference(self, name, strategy, restarts):
+        g = self.INSTANCES[name]()
+        self.same_as_reference(run_restarts(g, strategy, restarts, seed=0), g, strategy, restarts, 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(graphs(max_n=10), st.integers(1, 9), st.integers(0, 2**64 - 1))
+    def test_report_matches_a_per_restart_reference_on_twin_free_graphs(self, g, restarts, seed):
+        assume(find_twins(g) is None)
+        self.same_as_reference(run_restarts(g, "random", restarts, seed), g, "random", restarts, seed)
+
+    @pytest.mark.parametrize("restarts", [1, 20, 128, 200])
+    def test_a_batch_forks_nothing(self, monkeypatch, restarts):
+        def refusing_fork():
+            raise OSError("a restart batch forked")
+
+        g = nonminimal_grid_fixture()
+        reference = run_restarts(g, "random", restarts, seed=0)
+        monkeypatch.setattr(os, "fork", refusing_fork)
+        report = run_restarts(g, "random", restarts, seed=0)
+        assert report.cardinalities == reference.cardinalities
+        assert report.best_code == reference.best_code
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("failure", [KeyError, ValueError, KeyboardInterrupt])
+    def test_a_failing_restart_stops_the_batch(self, monkeypatch, failure):
+        # restart 3 fails: its exception reaches the caller and no later restart runs
+        constructions = []
+
+        def construct(array):
+            constructions.append(array)
+            if len(constructions) == 4:
+                raise failure("restart 3 failed")
+            return lex_code_sparse(array)
+
+        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
+        with pytest.raises(failure) as info:
+            run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
+        assert info.value.args == ("restart 3 failed",)
+        assert len(constructions) == 4
