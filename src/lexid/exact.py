@@ -9,19 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Hashable, Iterable
 
-from .graph import (
-    Code,
-    Graph,
-    RunOutcome,
-    TwinFailure,
-    TwinsError,
-    _distinct_nonempty,
-    bits_to_vertices,
-    find_twins,
-    is_identifying_code,
-)
+from .graph import Code, Graph, RunOutcome, TwinFailure, TwinsError, find_twins, is_identifying_code
 
 DEFAULT_EXACT_CAP = 24
 
@@ -61,8 +51,18 @@ def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResu
         for combo in combinations(bits, cardinality):
             cmask = sum(combo)
             if _distinct_nonempty(map(cmask.__and__, rows)):
-                return MinimumResult(Code(bits_to_vertices(cmask)), cardinality)
+                return MinimumResult(Code(tuple(map(int.bit_length, combo))), cardinality)
     raise AssertionError("unreachable: the full vertex set of a twin-free graph is identifying")
+
+
+def _distinct_nonempty(traces: Iterable[Hashable]) -> bool:
+    """True iff every trace is non-empty and no two are equal."""
+    seen = set()
+    for trace in traces:
+        if not trace or trace in seen:
+            return False
+        seen.add(trace)
+    return True
 
 
 def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
@@ -72,19 +72,31 @@ def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     given, keeping each deletion only if the remainder still identifies.  One
     such pass suffices: a member that survives its turn cannot become
     deletable later, because identifying sets are closed under supersets.
+
+    Keeps the trace N(u) ∩ C of every vertex u and the set `present` of them
+    all, the padding vertex's empty one included.  Deleting v only drops v
+    from the traces of N(v); those all held v, so the new ones differ from
+    each other and from the old ones.  The deletion stands iff none of the new
+    traces is in `present`.
     """
     members = tuple(code)
     if not is_identifying_code(g, members):
         raise ValueError(f"input code {members} is not an identifying code")
-    rows = g.neighborhood_matrix._rows[1:]
-    cmask = 0
-    for v in members:
-        cmask |= 1 << (v - 1)
-    for v in sorted(set(members)):
-        trial = cmask & ~(1 << (v - 1))
-        if _distinct_nonempty(map(trial.__and__, rows)):
-            cmask = trial
-    return Code(bits_to_vertices(cmask))
+    lists = g.neighborhood_array._lists
+    kept = set(members)
+    traces = list(map(frozenset(members).intersection, lists))
+    present = set(traces)
+    for v in sorted(kept):
+        nbhd = lists[v]
+        old = list(map(traces.__getitem__, nbhd))
+        new = list(map(frozenset((v,)).__rsub__, old))
+        if present.isdisjoint(new):
+            present.difference_update(old)
+            present.update(new)
+            for u, trace in zip(nbhd, new):
+                traces[u] = trace
+            kept.remove(v)
+    return Code(tuple(sorted(kept)))
 
 
 def greedy_code(g: Graph) -> RunOutcome:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import eq, itemgetter, lt
-from typing import Hashable, Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 class EdgeError(ValueError):
@@ -256,13 +256,17 @@ def is_identifying_code(g: Graph, code: Code | Iterable[int]) -> bool:
 
     Each member c is appended to the trace of every u in N(c), members in
     ascending order; closed neighborhoods are symmetric, so each trace ends
-    up as N(u) ∩ C, ascending, in O(n + Σ_c (deg(c) + 1)) steps.
+    up as N(u) ∩ C, ascending, in O(n + Σ_c (deg(c) + 1)) steps.  A member
+    that is not an int in 1..n raises ValueError, the first in input order.
     """
     n = g.n
     given = list(code)
-    for v in given:
-        if not 1 <= v <= n:
-            raise ValueError(f"code member {v} out of range 1..{n}")
+    if not set(map(type, given)) <= {int} or given and not 1 <= min(given) <= max(given) <= n:
+        for v in given:  # name the first bad member
+            if type(v) is not int:
+                raise ValueError(f"code member {v!r} is not an integer")
+            if not 1 <= v <= n:
+                raise ValueError(f"code member {v} out of range 1..{n}")
     lists = g.neighborhood_array._lists
     traces: list[list[int]] = [[] for _ in range(n + 1)]
     for c in sorted(set(given)):
@@ -270,16 +274,6 @@ def is_identifying_code(g: Graph, code: Code | Iterable[int]) -> bool:
             traces[u].append(c)
     del traces[0]
     return all(traces) and len(set(map(tuple, traces))) == n
-
-
-def _distinct_nonempty(traces: Iterable[Hashable]) -> bool:
-    """True iff every trace is non-empty and no two are equal."""
-    seen = set()
-    for trace in traces:
-        if not trace or trace in seen:
-            return False
-        seen.add(trace)
-    return True
 
 
 def _check_vertex_count(n: int) -> None:
@@ -335,13 +329,3 @@ def _first_fault(n: int, items: Iterable) -> EdgeError:
 def _check_permutation(p: Sequence[int], n: int) -> None:
     if len(p) != n or set(map(type, p)) != {int} or sorted(p) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {tuple(p)!r}")
-
-
-def bits_to_vertices(mask: int) -> tuple[int, ...]:
-    """Ascending vertices of a bitset (bit v-1 represents vertex v)."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length())
-        mask ^= low
-    return tuple(out)

@@ -1,7 +1,8 @@
 """Brute-force reference implementations used as ground truth in tests.
 
-Everything here works on plain frozensets built straight from the edge set,
-deliberately sharing no code with the package's bitset machinery.
+Everything here works on plain frozensets built straight from the edge set
+(the minimalization reference packs them into bitsets of its own),
+deliberately sharing no code with the package's views.
 """
 
 from __future__ import annotations
@@ -108,6 +109,23 @@ def brute_greedy_code(g: Graph):
         uncovered -= covers[u]
         code.append(u)
     return ("code", tuple(sorted(code)))
+
+
+def bitset_minimalize(g: Graph, members) -> tuple[int, ...]:
+    """The bitset minimalization pass: for each member v, ascending, drop bit
+    v-1 from the code mask and keep the drop iff the n rows ANDed with the mask
+    are non-empty and pairwise distinct.  `members` must identify g."""
+    nbhd = neighborhood_sets(g)
+    rows = [sum(1 << (u - 1) for u in nbhd[v]) for v in range(1, g.n + 1)]
+    cmask = 0
+    for v in members:
+        cmask |= 1 << (v - 1)
+    for v in sorted(set(members)):
+        trial = cmask & ~(1 << (v - 1))
+        traces = [trial & row for row in rows]
+        if all(traces) and len(set(traces)) == g.n:
+            cmask = trial
+    return tuple(v for v in range(1, g.n + 1) if cmask >> (v - 1) & 1)
 
 
 def reference_gnp(n: int, p: float, seed: int) -> tuple[tuple[int, int], ...]:

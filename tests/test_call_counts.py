@@ -1,7 +1,7 @@
-"""The constructors and the verifier run no Python frame per covered vertex or
-per vertex: on a relabeled 32x32 grid they stay within a fixed number of
-frames per codeword, so their loops over rows run in C.  G(n, p) runs a fixed
-number of frames per row, not one per pair."""
+"""The constructors, the verifier and minimalize run no Python frame per
+covered vertex or per vertex: on a relabeled 32x32 grid they stay within a
+fixed number of frames per codeword, so their loops over rows run in C.
+G(n, p) runs a fixed number of frames per row, not one per pair."""
 
 import random
 
@@ -15,6 +15,7 @@ from lexid import (
     is_identifying_code,
     lex_code_dense,
     lex_code_sparse,
+    minimalize,
 )
 
 from calls import python_calls
@@ -44,6 +45,14 @@ def test_verify_makes_a_fixed_number_of_calls(grid):
     code = lex_code_sparse(grid.neighborhood_array)
     assert is_identifying_code(grid, code)
     assert python_calls(lambda: is_identifying_code(grid, code)) < 10
+
+
+def test_minimalize_makes_at_most_one_call_per_member(grid):
+    code = lex_code_sparse(grid.neighborhood_array)
+    covered = sum(grid.degrees[c] + 1 for c in code)
+    assert covered > 4 * len(code)
+    assert len(minimalize(grid, code)) < len(code)  # some trials succeed, some fail
+    assert python_calls(lambda: minimalize(grid, code)) <= len(code) + 10
 
 
 def test_gnp_makes_a_fixed_number_of_calls_per_row():

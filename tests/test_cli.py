@@ -454,6 +454,7 @@ class TestMatrixBuilds:
         ["verify", "--code", "ALL"],
         ["twins"],
         ["restarts", "--restarts", "2"],
+        ["minimalize", "--code", "ALL"],
     ], ids=" ".join)
     def test_sparse_paths_build_none(self, graph, n, argv, builds, request, capsys):
         everything = ",".join(str(v) for v in range(1, n + 1))

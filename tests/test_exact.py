@@ -1,9 +1,11 @@
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lexid import (
     Code,
@@ -17,6 +19,7 @@ from lexid import (
     greedy_code,
     is_identifying_code,
     lex_code_dense,
+    lex_code_sparse,
     minimalize,
     minimum_code,
     nonminimal_grid_fixture,
@@ -24,8 +27,14 @@ from lexid import (
     prefix_sequence,
 )
 
-from corpus import graphs, small_corpus, twin_free_corpus
-from oracles import brute_greedy_code, brute_is_identifying, brute_minimum_cardinality, tagged
+from corpus import full_corpus, graphs, small_corpus, twin_free_corpus
+from oracles import (
+    bitset_minimalize,
+    brute_greedy_code,
+    brute_is_identifying,
+    brute_minimum_cardinality,
+    tagged,
+)
 
 
 class TestMinimumCode:
@@ -85,6 +94,13 @@ class TestMinimalize:
         with pytest.raises(ValueError, match="not an identifying code"):
             minimalize(path_graph(3), Code((2,)))
 
+    @pytest.mark.parametrize("members, bad", [
+        ([True, 3], "True"), ([1.0, 3], "1.0"), (["1", 3], "'1'"),
+    ], ids=["bool", "float", "str"])
+    def test_rejects_non_integer_members(self, members, bad):
+        with pytest.raises(ValueError, match=re.escape(f"code member {bad} is not an integer")):
+            minimalize(path_graph(3), members)
+
     def test_member_order_does_not_matter(self):
         rng = random.Random(0)
         for g in twin_free_corpus():
@@ -103,6 +119,32 @@ class TestMinimalize:
             assert is_identifying_code(g, minimal)
             for v in minimal:
                 assert not is_identifying_code(g, [w for w in minimal if w != v])
+
+
+class TestMinimalizeReference:
+    """minimalize against the bitset pass, on the all-vertex code and the lex
+    code of twin-free graphs, each given shuffled and with repeats."""
+
+    @staticmethod
+    def check(g, rnd):
+        for code in (range(1, g.n + 1), lex_code_sparse(g.neighborhood_array).members):
+            members = [*code, *code[::3]]
+            rnd.shuffle(members)
+            assert minimalize(g, members).members == bitset_minimalize(g, members)
+
+    @pytest.mark.parametrize("corpus", [small_corpus, twin_free_corpus, full_corpus])
+    def test_corpora_match_reference(self, corpus):
+        rnd = random.Random(0)
+        twin_free = [g for g in corpus() if find_twins(g) is None]
+        assert len(twin_free) >= 100
+        for g in twin_free:
+            self.check(g, rnd)
+
+    @given(graphs(max_n=14), st.randoms(use_true_random=False))
+    @settings(max_examples=200)
+    def test_generated_graphs_match_reference(self, g, rnd):
+        assume(find_twins(g) is None)
+        self.check(g, rnd)
 
 
 class TestGreedyCode:

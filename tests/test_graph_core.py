@@ -134,6 +134,18 @@ class TestIsIdentifyingCode:
             is_identifying_code(path_graph(3), [2, 9, 0])
         assert str(info.value) == "code member 9 out of range 1..3"
 
+    @pytest.mark.parametrize("members, message", [
+        ([True, 3], "code member True is not an integer"),
+        ([1.0, 3], "code member 1.0 is not an integer"),
+        (["1", 3], "code member '1' is not an integer"),
+        ([2, 9, "x"], "code member 9 out of range 1..3"),
+        ([2, "x", 9], "code member 'x' is not an integer"),
+    ], ids=["bool", "float", "str", "range-first", "type-first"])
+    def test_the_first_non_integer_or_out_of_range_member_is_named(self, members, message):
+        with pytest.raises(ValueError) as info:
+            is_identifying_code(path_graph(3), members)
+        assert str(info.value) == message
+
     def test_accepts_code_objects(self):
         assert is_identifying_code(path_graph(3), Code((1, 3)))
 
@@ -167,7 +179,7 @@ class TestIsIdentifyingCode:
         assert is_identifying_code(g, range(1, g.n + 1)) == (find_twins(g) is None)
 
 
-class TestPermute:
+class TestApplySequence:
     """Relabeling a whole graph with apply_sequence."""
 
     def test_identity(self):
