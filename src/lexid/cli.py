@@ -113,15 +113,12 @@ def _cmd_code(args: argparse.Namespace) -> int:
     strategy = _strategy_from_args(args)
     seed = _seed(args)  # read under every ordering, so a bad LEXID_SEED fails any code run
     array = g.neighborhood_array
-    if strategy.kind == "identity":
-        sequence = list(range(1, g.n + 1))
-    else:
-        sequence = strategy.sequence_for(g, SplitMix64(seed))
-        array = array.relabel(sequence)
+    identity = strategy.kind == "identity"
+    sequence = list(range(1, g.n + 1)) if identity else strategy.sequence_for(g, SplitMix64(seed))
     if algorithm == "dense":
-        outcome = lex_code_dense(ClosedNeighborhoodMatrix(array))
+        outcome = lex_code_dense(ClosedNeighborhoodMatrix(array if identity else array.relabel(sequence)))
     else:
-        outcome = lex_code_sparse(array)
+        outcome = lex_code_sparse(array, None if identity else sequence)
     header = {"schema": 1, "n": g.n, "algorithm": algorithm, "ordering": strategy.kind}
     if isinstance(outcome, TwinFailure):
         pair = tuple(sorted((sequence[outcome.k - 1], sequence[outcome.j - 1])))

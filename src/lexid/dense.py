@@ -1,16 +1,15 @@
 """Lexicographic identifying-code construction over the bit-matrix view.
 
 Coverage rows are bitsets, so the scan's row keys are integers.  Inserting
-codeword l sets bit l-1 in the rows of the vertices l covers, which the
-matrix reads from the sorted list of N(v_l) it was derived from (the matrix
-is symmetric); the model tally still charges the paper's copy of a whole
-matrix column.
+codeword l adds bit l-1, which no row holds before, to the rows of the
+vertices l covers, which the matrix reads from the sorted list of N(v_l) it
+was derived from (the matrix is symmetric); the model tally still charges the
+paper's copy of a whole matrix column.  The constructor scans in index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import or_
 
 from .graph import ClosedNeighborhoodMatrix, RunOutcome
 from .scan import lex_scan
@@ -81,11 +80,13 @@ def lex_code_dense(
                 tally.scan_bits += min(l, n)  # finding twins scans all n positions
                 tally.column_copy_bits += n if l <= n else 0
 
+    identity = list(range(n + 1))
     return lex_scan(
         x,
         lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
         b._lists,
-        or_,
         _bit,
+        identity,
+        identity,
         charge=charge,
     )

@@ -171,7 +171,7 @@ class NeighborhoodArray:
 
         Old vertex u gathers, in order, each w with u in N(sequence[w-1]): by symmetry, its new list.
         """
-        _check_permutation(sequence, self.n)
+        _positions(sequence, self.n)
         lists: list[list[int]] = [[] for _ in range(self.n + 1)]  # by old vertex
         for w, v in enumerate(sequence, 1):
             for u in self._lists[v]:
@@ -188,9 +188,10 @@ class Code:
     def __post_init__(self) -> None:
         members = tuple(self.members)
         object.__setattr__(self, "members", members)
-        for m in members:
-            if type(m) is not int or m < 1:
-                raise ValueError(f"code member {m!r} is not a positive integer")
+        if not set(map(type, members)) <= {int} or members and min(members) < 1:
+            for m in members:  # name the first bad member
+                if type(m) is not int or m < 1:
+                    raise ValueError(f"code member {m!r} is not a positive integer")
         if not all(map(lt, members, members[1:])):
             raise ValueError(f"code members must be strictly increasing, got {members}")
 
@@ -326,6 +327,17 @@ def _first_fault(n: int, items: Iterable) -> EdgeError:
     raise AssertionError("the bulk edge checks failed on valid pairs")
 
 
-def _check_permutation(p: Sequence[int], n: int) -> None:
-    if len(p) != n or set(map(type, p)) != {int} or sorted(p) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {tuple(p)!r}")
+def _positions(sequence: Sequence[int], n: int) -> list[int]:
+    """position[v] = i for v = sequence[i-1], and position[0] = 0.
+
+    ValueError unless sequence is a permutation of 1..n with exact int entries,
+    checked with the one pass that fills position: n entries in 1..n leave
+    only slot 0 empty exactly when none repeats.
+    """
+    position = [0] * (n + 1)
+    if len(sequence) == n and set(map(type, sequence)) == {int} and 1 <= min(sequence) and max(sequence) <= n:
+        for i, v in enumerate(sequence, 1):
+            position[v] = i
+        if position.count(0) == 1:
+            return position
+    raise ValueError(f"not a permutation of 1..{n}: {tuple(sequence)!r}")

@@ -1,9 +1,10 @@
 """Vertex-ordering strategies and the processing sequences they yield.
 
-The lexicographic constructors process vertices by index, so "choose an
-ordering" means "relabel the graph".  A strategy yields a processing sequence
-(position -> original vertex); helpers apply it and map resulting codes back
-to original labels.
+A strategy yields a processing sequence (position -> original vertex).  The
+sparse constructor scans the graph in that order directly and names its
+codewords by position; the dense constructor processes vertices by index, so
+there an ordering means relabeling the graph.  Helpers apply a sequence to a
+graph and map codes given by position back to original labels.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Code, Graph, _check_permutation
+from .graph import Code, Graph, _positions
 from .rng import SplitMix64
 
 STRATEGY_KINDS = ("identity", "random", "degree-asc", "degree-desc", "explicit")
@@ -49,7 +50,7 @@ class OrderingStrategy:
         if self.kind == "degree-desc":
             return sorted(range(1, g.n + 1), key=lambda v: (-g.degrees[v], v))
         seq = list(self.sequence)  # explicit
-        _check_permutation(seq, g.n)
+        _positions(seq, g.n)
         return seq
 
 
@@ -64,16 +65,14 @@ def as_strategy(strategy: OrderingStrategy | str | Sequence[int]) -> OrderingStr
 
 def apply_sequence(g: Graph, sequence: Sequence[int]) -> Graph:
     """Relabel g so that sequence[i-1] becomes vertex i."""
-    _check_permutation(sequence, g.n)
-    label = [0] * (g.n + 1)  # label[v] is the new label of old vertex v
-    for i, v in enumerate(sequence, 1):
-        label[v] = i
+    label = _positions(sequence, g.n)  # label[v] is the new label of old vertex v
     pairs = ((label[u], label[v]) for u, v in g.pairs)
     return Graph(g.n, [(a, b) if a < b else (b, a) for a, b in pairs])  # canonical, so Graph keeps them
 
 
 def code_to_original(code: Code, sequence: Sequence[int]) -> Code:
-    """Map a code found on the relabeled graph back to original vertex labels."""
+    """Map a code given by position (found on the relabeled graph, or by a run
+    in that order) back to original vertex labels."""
     return Code(tuple(sorted(sequence[c - 1] for c in code)))
 
 

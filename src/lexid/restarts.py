@@ -1,17 +1,18 @@
 """Random-restart search for small identifying codes.
 
-Each restart relabels the neighborhood array to a new vertex order (no new
-Graph) and runs the sparse constructor.  Under the random ordering, restart i
-draws its order from a generator seeded with derive_seed(seed, i), so reports
-are reproducible and the first r restarts never depend on the total count;
-every other ordering gives all restarts one order and so one code, which is
+Each restart runs the sparse constructor on the graph's one neighborhood
+array, scanning it in the restart's processing order: no relabeled array and
+no new Graph is built.  Under the random ordering, restart i draws its order
+from a generator seeded with derive_seed(seed, i), so reports are
+reproducible and the first r restarts never depend on the total count; every
+other ordering gives all restarts one order and so one code, which is
 constructed once and repeated for every index.  The caller derives the
 reported seeds itself.
 
-Every restart runs in the calling process, one after another.  The loop
-keeps the first strictly smallest code in relabeled form and maps only that
-code back to the original labels, once, so the best code is that of the
-first restart reaching the minimum.
+Every restart runs in the calling process, one after another.  A run names
+its codewords by position, so the loop keeps the first strictly smallest code
+in that form and maps only that code back to the original labels, once; the
+best code is that of the first restart reaching the minimum.
 """
 
 from __future__ import annotations
@@ -61,23 +62,23 @@ def run_restarts(
     array = g.neighborhood_array
     fixed = None if strategy.kind == "random" else strategy.sequence_for(g)
 
-    best_relabeled: Code | None = None  # the first strictly smallest code, before map-back
+    best_by_position: Code | None = None  # the first strictly smallest code, before map-back
     best_sequence: list[int] = []
     cardinalities: list[int] = []
     elapsed: list[float] = []
     for i in range(restarts if fixed is None else 1):
         start = time.perf_counter()
         sequence = fixed or strategy.sequence_for(g, SplitMix64(derive_seed(seed, i)))
-        outcome = lex_code_sparse(array.relabel(sequence))
+        outcome = lex_code_sparse(array, sequence)
         assert isinstance(outcome, Code)  # twin-freeness is permutation-invariant
-        if best_relabeled is None or len(outcome) < len(best_relabeled):
-            best_relabeled, best_sequence = outcome, sequence  # ties keep the first
+        if best_by_position is None or len(outcome) < len(best_by_position):
+            best_by_position, best_sequence = outcome, sequence  # ties keep the first
         elapsed.append(time.perf_counter() - start)
         cardinalities.append(len(outcome))
     if fixed is not None:  # one order gives one code: construct it once and repeat it for every restart
         cardinalities *= restarts
         elapsed *= restarts
-    best_code = code_to_original(best_relabeled, best_sequence)
+    best_code = code_to_original(best_by_position, best_sequence)
     return RestartReport(
         strategy=strategy.kind,
         best_code=best_code,

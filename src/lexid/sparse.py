@@ -5,14 +5,21 @@ inserting codeword l appends it to the degree(l)+1 rows of the vertices l
 covers, which is the saving over the bit-matrix constructor on bounded-degree
 graphs.  Every row shares that one order, so two rows are equal as tuples
 exactly when they are equal as sets.
+
+Given a processing order, the scan reads the lists by original vertex and
+ranks their members by position, so no relabeled copy of the lists is built:
+the separation is the smallest position in N(v), or the first position that
+only one of N(v) and N(u) holds, found by sorting the positions of both lists
+together.  In the identity order it is the head of N(v), or the synchronized
+walk over the two sorted lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from typing import Sequence
 
-from .graph import NeighborhoodArray, RunOutcome
+from .graph import NeighborhoodArray, RunOutcome, _positions
 from .scan import lex_scan
 
 
@@ -80,18 +87,48 @@ def min3(a: NeighborhoodArray, j: int, k: int) -> int:
 
 def lex_code_sparse(
     a: NeighborhoodArray,
+    sequence: Sequence[int] | None = None,
     *,
     tally: SparseWorkTally | None = None,
 ) -> RunOutcome:
     """Build the lexicographic code of the graph behind a, or report twins.
 
     Produces the same Code or TwinFailure as lex_code_dense on the same graph
-    and vertex order.  tally, if given, accumulates the model element-touch
-    cost.
+    and vertex order.  sequence, if given, is the processing order: the run
+    returns exactly what lex_code_sparse(a.relabel(sequence)) returns, with
+    codewords and twins given by position, but builds no relabeled array.
+    tally, if given, accumulates the model element-touch cost of the walks
+    over sorted lists, so it takes no sequence (ValueError); a sequence that
+    is not a permutation of 1..n raises the ValueError relabel raises.
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
     x: list[tuple[int, ...]] = [()] * (n + 1)
+
+    if sequence is None:
+        order = position = list(range(n + 1))
+
+        def separate(j: int, k: int) -> int:
+            # the head of the sorted N(v_j), or the walk's first difference when k > 0
+            return _min3_walk(lists[j], lists[k], n)[0] if k else lists[j][0]
+    else:
+        if tally is not None:
+            raise ValueError("tally counts the relabeled run: pass a.relabel(sequence) instead of sequence")
+        position = _positions(sequence, n)
+        order = [0, *sequence]
+        rank = position.__getitem__
+
+        def separate(j: int, k: int) -> int:
+            if not k:
+                return min(map(rank, lists[order[j]]))
+            # the positions of both lists, sorted: a member of both is two equal
+            # entries side by side, so the first entry left unpaired is the
+            # smallest position in N(v_j) Δ N(v_k); with none the two are twins
+            both = sorted(map(rank, lists[order[j]] + lists[order[k]]))
+            i, last = 0, len(both) - 1
+            while i < last and both[i] == both[i + 1]:
+                i += 2
+            return both[i] if i <= last else n + 1
 
     charge = None
     if tally is not None:
@@ -106,11 +143,4 @@ def lex_code_sparse(
                 tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
                 tally.insert_touches += len(lists[l]) if l <= n else 0
 
-    return lex_scan(
-        x,
-        lambda j, k: _min3_walk(lists[j], lists[k], n)[0],
-        lists,
-        add,
-        _singleton,
-        charge=charge,
-    )
+    return lex_scan(x, separate, lists, _singleton, order, position, charge=charge)

@@ -31,8 +31,11 @@ def grid():
 
 @pytest.mark.parametrize("construct, view", [
     (lex_code_sparse, lambda g: g.neighborhood_array),
+    # the ordered scan, in index order so that positions are vertices and the
+    # degrees below stay those of the codewords
+    (lambda a: lex_code_sparse(a, range(1, a.n + 1)), lambda g: g.neighborhood_array),
     (lex_code_dense, lambda g: ClosedNeighborhoodMatrix(g.neighborhood_array)),
-], ids=["sparse", "dense"])
+], ids=["sparse", "sparse-ordered", "dense"])
 def test_a_constructor_makes_at_most_three_calls_per_codeword(grid, construct, view):
     rows = view(grid)
     code = construct(rows)

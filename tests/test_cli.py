@@ -309,11 +309,11 @@ class TestRestartsCommand:
     def test_a_failing_restart_exits_one(self, fixture_file, monkeypatch, capsys):
         constructions = []
 
-        def construct(array):
+        def construct(array, sequence):
             constructions.append(array)
             if len(constructions) == 3:
                 raise ValueError("restart 2 failed")
-            return lex_code_sparse(array)
+            return lex_code_sparse(array, sequence)
 
         monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
         assert main(["restarts", "--restarts", "4", fixture_file]) == 1

@@ -261,6 +261,15 @@ class TestDomainTypes:
             Code((True, 2))
         assert str(info.value) == "code member True is not a positive integer"
 
+    @pytest.mark.parametrize("members, bad", [
+        ((1, True), True), ((0, 2), 0), ((2, -3), -3), ((1, 2.0), 2.0),
+        ((1.5, 0), 1.5), ((-1, "x"), -1), ((3, "x", 0), "x"),
+    ])
+    def test_code_names_the_first_bad_member(self, members, bad):
+        with pytest.raises(ValueError) as info:
+            Code(members)
+        assert str(info.value) == f"code member {bad!r} is not a positive integer"
+
     def test_code_iteration_and_cardinality(self):
         code = Code((2, 5, 7))
         assert list(code) == [2, 5, 7]

@@ -9,6 +9,7 @@ import lexid.rng
 from lexid import (
     Code,
     Graph,
+    NeighborhoodArray,
     OrderingStrategy,
     SplitMix64,
     TwinsError,
@@ -338,6 +339,30 @@ class TestRunRestarts:
         apply_sequence(g, list(range(1, g.n + 1)))
         assert len(builds) == 1  # the patch does see a rebuild
 
+    @pytest.mark.parametrize("strategy", ["random", "identity", "degree-asc", "degree-desc", (9, 8, 7, 6, 5, 4, 3, 2, 1)])
+    def test_restarts_relabel_nothing(self, monkeypatch, strategy):
+        g = nonminimal_grid_fixture()
+        relabels = []
+        relabel = NeighborhoodArray.relabel
+
+        def counting_relabel(self, sequence):
+            relabels.append(sequence)
+            return relabel(self, sequence)
+
+        monkeypatch.setattr(NeighborhoodArray, "relabel", counting_relabel)
+        report = run_restarts(g, strategy, restarts=20)
+        assert len(report.cardinalities) == 20
+        assert relabels == []
+        g.neighborhood_array.relabel(list(range(1, g.n + 1)))
+        assert len(relabels) == 1  # the patch does see a relabel
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=12), st.sampled_from(["random", "degree-asc", "degree-desc"]), st.integers(0, 2**64 - 1))
+    def test_an_ordered_scan_matches_the_relabeled_run(self, g, strategy, seed):
+        sequence = OrderingStrategy(strategy).sequence_for(g, SplitMix64(seed))
+        a = g.neighborhood_array
+        assert lex_code_sparse(a, sequence) == lex_code_sparse(a.relabel(sequence))
+
     def test_maps_back_only_on_a_strict_improvement(self, monkeypatch):
         # only the batch's first strictly smallest code is mapped back, once
         calls = []
@@ -388,9 +413,9 @@ class TestRunRestarts:
 
         constructions = []
 
-        def counting_construct(array):
+        def counting_construct(array, sequence):
             constructions.append(array)
-            return lex_code_sparse(array)
+            return lex_code_sparse(array, sequence)
 
         monkeypatch.setattr(OrderingStrategy, "sequence_for", counting_sequence_for)
         monkeypatch.setattr(lexid.restarts, "lex_code_sparse", counting_construct)
@@ -463,11 +488,11 @@ class TestRestartLoop:
         # restart 3 fails: its exception reaches the caller and no later restart runs
         constructions = []
 
-        def construct(array):
+        def construct(array, sequence):
             constructions.append(array)
             if len(constructions) == 4:
                 raise failure("restart 3 failed")
-            return lex_code_sparse(array)
+            return lex_code_sparse(array, sequence)
 
         monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
         with pytest.raises(failure) as info:

@@ -1,9 +1,14 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexid import (
     Code,
     Graph,
     TwinFailure,
+    derive_seed,
     find_twins,
     lex_code_dense,
     lex_code_sparse,
@@ -16,7 +21,7 @@ from lexid.dense import DenseWorkTally
 from lexid.sparse import SparseWorkTally
 
 from calls import scan_steps
-from corpus import small_corpus, twin_free_corpus
+from corpus import full_corpus, graphs, small_corpus, twin_free_corpus
 from oracles import brute_min_sym_diff, neighborhood_sets
 
 
@@ -127,3 +132,54 @@ def test_recorded_steps_keep_the_loop_invariant(construct, view, tally_type):
         else:
             assert len(steps) == g.n
             assert outcome == Code(tuple(sorted(l for _, _, l in steps if l)))
+
+
+def shuffled(n, rnd):
+    sequence = list(range(1, n + 1))
+    rnd.shuffle(sequence)
+    return sequence
+
+
+class TestProcessingOrder:
+    """lex_code_sparse(a, sequence) against the run on a.relabel(sequence)."""
+
+    def assert_same_run(self, g, sequence):
+        a = g.neighborhood_array
+        relabeled = a.relabel(sequence)
+        assert lex_code_sparse(a, sequence=sequence) == lex_code_sparse(relabeled)
+        assert scan_steps(lex_code_sparse, a, sequence=sequence) == scan_steps(lex_code_sparse, relabeled)
+
+    @given(graphs(max_n=12), st.randoms(use_true_random=False))
+    @settings(max_examples=300)
+    def test_matches_the_relabeled_run(self, g, rnd):
+        self.assert_same_run(g, shuffled(g.n, rnd))
+
+    def test_matches_the_relabeled_run_on_the_corpora(self):
+        corpora = small_corpus() + twin_free_corpus() + full_corpus()[::10]
+        assert any(find_twins(g) for g in corpora) and not all(find_twins(g) for g in corpora)
+        for i, g in enumerate(corpora):
+            rnd = random.Random(derive_seed(0, i))
+            for sequence in (list(range(1, g.n + 1)), list(range(g.n, 0, -1)), shuffled(g.n, rnd)):
+                self.assert_same_run(g, sequence)
+
+    def test_twins_are_reported_by_position(self):
+        g = Graph(4, [(1, 2), (3, 4)])  # twins {1, 2} and {3, 4}
+        assert lex_code_sparse(g.neighborhood_array, [3, 1, 4, 2]) == TwinFailure(j=3, k=1)
+
+    @pytest.mark.parametrize(
+        "bad", [[1, 2], [1, 1, 2], [0, 1, 2], [1, 2, 4], [True, 2, 3], [1.0, 2, 3], [1, 2, 3, 4], []]
+    )
+    def test_rejects_a_non_permutation_like_relabel(self, bad):
+        a = path_graph(3).neighborhood_array
+        with pytest.raises(ValueError) as expected:
+            a.relabel(bad)
+        with pytest.raises(ValueError) as got:
+            lex_code_sparse(a, bad)
+        assert str(got.value) == str(expected.value) == f"not a permutation of 1..3: {tuple(bad)!r}"
+
+    def test_takes_no_tally(self):
+        a = nonminimal_grid_fixture().neighborhood_array
+        tally = SparseWorkTally()
+        with pytest.raises(ValueError, match="relabel"):
+            lex_code_sparse(a, list(range(9, 0, -1)), tally=tally)
+        assert tally == SparseWorkTally()
