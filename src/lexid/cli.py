@@ -114,7 +114,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
     seed = _seed(args)  # read under every ordering, so a bad LEXID_SEED fails any code run
     array = g.neighborhood_array
     identity = strategy.kind == "identity"
-    sequence = list(range(1, g.n + 1)) if identity else strategy.sequence_for(g, SplitMix64(seed))
+    sequence = range(1, g.n + 1) if identity else strategy.sequence_for(g, SplitMix64(seed))
     if algorithm == "dense":
         outcome = lex_code_dense(ClosedNeighborhoodMatrix(array if identity else array.relabel(sequence)))
     else:
@@ -126,7 +126,7 @@ def _cmd_code(args: argparse.Namespace) -> int:
             raise TwinsError(pair)
         print(json.dumps({**header, "twins": list(pair)}))
         return EXIT_TWINS
-    code = code_to_original(outcome, sequence)
+    code = outcome if identity else code_to_original(outcome, sequence)  # identity positions are labels
     if args.json:
         print(json.dumps({
             **header,

@@ -1,10 +1,12 @@
 """Lexicographic identifying-code construction over the bit-matrix view.
 
-Coverage rows are bitsets, so the scan's row keys are integers.  Inserting
-codeword l adds bit l-1, which no row holds before, to the rows of the
-vertices l covers, which the matrix reads from the sorted list of N(v_l) it
-was derived from (the matrix is symmetric); the model tally still charges the
-paper's copy of a whole matrix column.  The constructor scans in index order.
+The matrix supplies the separation: the first bit in which two rows differ.
+The scan keeps its own coverage rows, tuples of codewords, and reads the
+vertices a codeword covers from the sorted lists the matrix was derived from
+(the matrix is symmetric), so a run holds the n²-bit matrix plus
+O(n + Σ_{c∈C}(deg c + 1)).  The model tally still charges the paper's
+whole-row tests and its copy of a whole matrix column.  The constructor scans
+in index order.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ def _lowest_difference(row_j: int, row_k: int, n: int) -> int:
     return (diff & -diff).bit_length() or n + 1
 
 
-def _bit(l: int) -> int:
-    return 1 << (l - 1)
-
-
 def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:
     """Smallest vertex covering exactly one of v_j, v_k; n+1 if none exists.
 
@@ -69,7 +67,6 @@ def lex_code_dense(
     """
     n = b.n
     rows_b = b._rows  # rows_b[0] = 0 is the empty row the scan's sentinel needs
-    x = [0] * (n + 1)
 
     charge = None
     if tally is not None:
@@ -82,10 +79,8 @@ def lex_code_dense(
 
     identity = list(range(n + 1))
     return lex_scan(
-        x,
         lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
         b._lists,
-        _bit,
         identity,
         identity,
         charge=charge,

@@ -1,10 +1,8 @@
 """Lexicographic identifying-code construction over sorted adjacency lists.
 
-Coverage rows are tuples of codewords in the order they joined the code, so
-inserting codeword l appends it to the degree(l)+1 rows of the vertices l
-covers, which is the saving over the bit-matrix constructor on bounded-degree
-graphs.  Every row shares that one order, so two rows are equal as tuples
-exactly when they are equal as sets.
+The lists supply the separation; the scan keeps the coverage rows, so a run
+holds the lists plus O(n + Σ_{c∈C}(deg c + 1)) and never an n²-bit matrix,
+which is the saving over the bit-matrix constructor on bounded-degree graphs.
 
 Given a processing order, the scan reads the lists by original vertex and
 ranks their members by position, so no relabeled copy of the lists is built:
@@ -71,10 +69,6 @@ def _min3_walk(lj: tuple[int, ...], lk: tuple[int, ...], n: int) -> tuple[int, i
     return n + 1, m
 
 
-def _singleton(l: int) -> tuple[int]:
-    return (l,)
-
-
 def min3(a: NeighborhoodArray, j: int, k: int) -> int:
     """Smallest vertex covering exactly one of v_j, v_k; n+1 if none exists.
 
@@ -103,7 +97,6 @@ def lex_code_sparse(
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
-    x: list[tuple[int, ...]] = [()] * (n + 1)
 
     if sequence is None:
         order = position = list(range(n + 1))
@@ -132,15 +125,20 @@ def lex_code_sparse(
 
     charge = None
     if tally is not None:
+        covers = [0] * (n + 1)  # covers[v] = |N(v) ∩ C|, the length of the row of v
+
         def charge(j: int, k: int, l: int) -> None:
             tally.empty_check_touches += 1
             # one length check per earlier row tried, plus an element walk on a tie
             tried = k if k < j else j - 1
-            lj = len(x[j])
-            tally.comparison_touches += tried + lj * list(map(len, x[1 : tried + 1])).count(lj)
+            lj = covers[j]
+            tally.comparison_touches += tried + lj * covers[1 : tried + 1].count(lj)
             if l:
                 # reading the head of N(v_j) for an uncovered vertex (k = 0) is one touch
                 tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
-                tally.insert_touches += len(lists[l]) if l <= n else 0
+                if l <= n:
+                    tally.insert_touches += len(lists[l])
+                    for a in lists[l]:
+                        covers[a] += 1
 
-    return lex_scan(x, separate, lists, _singleton, order, position, charge=charge)
+    return lex_scan(separate, lists, order, position, charge=charge)

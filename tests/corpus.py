@@ -80,3 +80,13 @@ def graphs(draw, max_n=10):
     pairs = list(combinations(range(1, n + 1), 2))
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return Graph(n, edges)
+
+
+def twin_free_graphs(max_n=10):
+    """Hypothesis strategy: the twin-free graphs that graphs(max_n) draws."""
+    return graphs(max_n).filter(lambda g: find_twins(g) is None)
+
+
+def graphs_with_twins(max_n=10):
+    """Hypothesis strategy: the graphs with twins that graphs(max_n) draws."""
+    return graphs(max_n).filter(lambda g: find_twins(g) is not None)

@@ -85,6 +85,56 @@ def brute_lex_code(g: Graph):
     return ("code", tuple(sorted(code)))
 
 
+def reference_sparse_tally(g: Graph):
+    """The lexicographic run on g with the charges SparseWorkTally documents.
+
+    Keeps each vertex's row as an explicit tuple of the codewords covering
+    it, in the order they joined C, and charges what the paper's sparse
+    algorithm touches: one for the empty test of each row; for each earlier
+    row the linear search for k compares, one for the length check plus the
+    common length when the lengths tie; one for reading the head of an
+    uncovered vertex's list, else two per position the synchronized walk of
+    the sorted N(v_j) and N(v_k) passes; and deg(l) + 1 for inserting
+    codeword l into the lists it covers.  Returns the outcome as
+    brute_lex_code gives it and the charges, keyed by SparseWorkTally's
+    field names.
+    """
+    nbhd = neighborhood_sets(g)
+    lists = {v: sorted(nbhd[v]) for v in nbhd}
+    rows: dict[int, tuple[int, ...]] = {v: () for v in nbhd}
+    charges = dict.fromkeys(("comparison_touches", "empty_check_touches", "scan_touches", "insert_touches"), 0)
+    for j in range(1, g.n + 1):
+        charges["empty_check_touches"] += 1
+        if not rows[j]:
+            l = lists[j][0]
+            charges["scan_touches"] += 1
+        else:
+            for k in range(1, j):
+                charges["comparison_touches"] += 1
+                if len(rows[k]) == len(rows[j]):
+                    charges["comparison_touches"] += len(rows[j])
+                    if rows[k] == rows[j]:
+                        break
+            else:
+                continue
+            a, b = lists[j], lists[k]
+            walked = 0
+            while walked < min(len(a), len(b)) and a[walked] == b[walked]:
+                walked += 1
+            if walked < min(len(a), len(b)):
+                l = min(a[walked], b[walked])
+                walked += 1
+            else:
+                l = a[walked] if len(a) > walked else b[walked] if len(b) > walked else g.n + 1
+            charges["scan_touches"] += 2 * walked
+            if l > g.n:
+                return ("twins", j, k), charges
+        charges["insert_touches"] += len(lists[l])
+        for v in lists[l]:
+            rows[v] += (l,)
+    return ("code", tuple(sorted({c for row in rows.values() for c in row}))), charges
+
+
 def brute_greedy_code(g: Graph):
     """Set-cover greedy over the identification requirements, from its definition.
 

@@ -36,12 +36,12 @@ def grid():
     (lambda a: lex_code_sparse(a, range(1, a.n + 1)), lambda g: g.neighborhood_array),
     (lex_code_dense, lambda g: ClosedNeighborhoodMatrix(g.neighborhood_array)),
 ], ids=["sparse", "sparse-ordered", "dense"])
-def test_a_constructor_makes_at_most_three_calls_per_codeword(grid, construct, view):
+def test_a_constructor_makes_at_most_two_calls_per_codeword(grid, construct, view):
     rows = view(grid)
     code = construct(rows)
     covered = sum(grid.degrees[c] + 1 for c in code)
     assert covered > 4 * len(code)  # a call per covered vertex would break the bound
-    assert python_calls(lambda: construct(rows)) <= 3 * len(code) + 10
+    assert python_calls(lambda: construct(rows)) <= 2 * len(code) + 10
 
 
 def test_verify_makes_a_fixed_number_of_calls(grid):

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import lexid.cli
 import lexid.restarts
 from lexid import (
     ClosedNeighborhoodMatrix,
@@ -57,9 +58,11 @@ def twins_file(tmp_path):
 
 # graph file fixture, n, --ordering flags, outcome on the original labels
 ORDERING_CASES = [
+    ("fixture_file", 9, ["identity"], ("code", [1, 2, 3, 4, 5, 6])),
     ("fixture_file", 9, ["degree-desc"], ("code", [2, 3, 4, 7])),
     ("fixture_file", 9, ["random", "--seed", "3"], ("code", [3, 4, 5, 6, 8, 9])),
     ("fixture_file", 9, ["explicit", "--perm", "9,8,7,6,5,4,3,2,1"], ("code", [4, 5, 6, 7, 8, 9])),
+    ("twins_file", 6, ["identity"], ("twins", [2, 3])),
     ("twins_file", 6, ["degree-desc"], ("twins", [2, 3])),
     ("twins_file", 6, ["random", "--seed", "3"], ("twins", [1, 6])),
     ("twins_file", 6, ["explicit", "--perm", "6,5,4,3,2,1"], ("twins", [4, 5])),
@@ -89,6 +92,16 @@ class TestCodeCommand:
             message = f"error: graph is not twin-free (twins {members[0]} {members[1]})\n"
             expected = (2, "", message)
         assert (status, captured.out, captured.err) == expected
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_the_identity_ordering_maps_no_code_back(self, fixture_file, dense, monkeypatch, capsys):
+        # under the identity ordering positions are the labels
+        def refusing(code, sequence):
+            raise AssertionError("code_to_original called")
+
+        monkeypatch.setattr(lexid.cli, "code_to_original", refusing)
+        assert main(["code", *["--dense"] * dense, fixture_file]) == 0
+        assert capsys.readouterr().out == "1 2 3 4 5 6\n6\n"
 
     def test_dense_on_fixture(self, fixture_file, capsys):
         assert main(["code", "--dense", fixture_file]) == 0

@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from lexid import (
     TwinFailure,
     derive_seed,
     find_twins,
+    grid_graph,
     lex_code_dense,
     lex_code_sparse,
     min2,
@@ -21,8 +23,12 @@ from lexid.dense import DenseWorkTally
 from lexid.sparse import SparseWorkTally
 
 from calls import scan_steps
-from corpus import full_corpus, graphs, small_corpus, twin_free_corpus
-from oracles import brute_min_sym_diff, neighborhood_sets
+from corpus import full_corpus, graphs, graphs_with_twins, small_corpus, twin_free_corpus, twin_free_graphs
+from oracles import brute_min_sym_diff, neighborhood_sets, reference_sparse_tally, tagged
+
+with_and_without_twins = pytest.mark.parametrize(
+    "kind", [twin_free_graphs(max_n=12), graphs_with_twins(max_n=12)], ids=["twin-free", "twins"]
+)
 
 
 def sparse(g):
@@ -132,6 +138,46 @@ def test_recorded_steps_keep_the_loop_invariant(construct, view, tally_type):
         else:
             assert len(steps) == g.n
             assert outcome == Code(tuple(sorted(l for _, _, l in steps if l)))
+
+
+class TestSameStepsAsDense:
+    """The constructors supply only the separation, so they take the same steps."""
+
+    def assert_same_steps(self, g):
+        dense = scan_steps(lex_code_dense, g.neighborhood_matrix)
+        assert scan_steps(lex_code_sparse, g.neighborhood_array) == dense
+
+    @with_and_without_twins
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_on_hypothesis_graphs(self, kind, data):
+        self.assert_same_steps(data.draw(kind))
+
+    def test_on_the_small_corpus(self):
+        corpus = small_corpus()
+        assert any(find_twins(g) for g in corpus) and not all(find_twins(g) for g in corpus)
+        for g in corpus:
+            self.assert_same_steps(g)
+
+
+class TestTallyAgainstExplicitRows:
+    """SparseWorkTally against a run that keeps its rows and charges their lengths."""
+
+    def assert_matches(self, g):
+        tally = SparseWorkTally()
+        outcome = lex_code_sparse(g.neighborhood_array, tally=tally)
+        assert (tagged(outcome), asdict(tally)) == reference_sparse_tally(g)
+
+    @with_and_without_twins
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_on_hypothesis_graphs(self, kind, data):
+        self.assert_matches(data.draw(kind))
+
+    def test_on_the_corpora(self):
+        # up to 32 vertices and rows of up to 8 codewords; the grid has 144 vertices
+        for g in small_corpus() + twin_free_corpus()[:50] + (grid_graph(12, 12),):
+            self.assert_matches(g)
 
 
 def shuffled(n, rnd):
