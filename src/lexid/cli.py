@@ -67,7 +67,7 @@ def _read_graph(args: argparse.Namespace) -> Graph:
         text = sys.stdin.read()
     else:
         text = Path(args.graph).read_text(encoding="utf-8")
-    return parse_graph(text, args.input_format)
+    return parse_graph(text.removeprefix("\ufeff"), args.input_format)  # a UTF-8 byte-order mark
 
 
 def _int_list(raw: str, what: str) -> tuple[int, ...]:

@@ -3,6 +3,14 @@
 Both formats are UTF-8 text, break lines at LF, CRLF or CR, and use 1-indexed
 vertices. The order of edge lines never affects algorithm behavior; only vertex
 indices define the processing order.
+
+A parse reads lines from the start only up to the header.  It tokenizes the
+body after it one piece at a time, each piece the lines that begin within
+PIECE_CHARS characters of its start, and appends each piece's endpoints to two
+int lists.  So beside the text, the endpoint lists and the Graph, a parse
+holds the lines and tokens of one piece, never of the whole file.  Only when a
+check fails is the whole text split into numbered lines, to name the first
+fault.
 """
 
 from __future__ import annotations
@@ -20,6 +28,11 @@ _HASH_COMMENT = re.compile(r"\s*#").match
 # a DIMACS 'c' comment line: 'c' as its first token
 _C_COMMENT = re.compile(r"\s*c(?:\s|$)").match
 
+# Characters of body text tokenized at a time.  A piece's lines and tokens take
+# a few times its size; each piece also costs a few Python calls, which must
+# stay far below one per 100 edges.
+PIECE_CHARS = 1 << 16
+
 
 class ParseError(ValueError):
     """Malformed graph file; carries the 1-indexed offending line when known."""
@@ -29,9 +42,19 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of a text, broken only at LF, CRLF and CR."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+def _normalized(text: str) -> str:
+    """The text with every CRLF and CR made an LF; the text itself if it has no CR."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _lines(text: str):
+    """(number, stripped line, offset of the next line) of each line of a
+    normalized text, read from the start."""
+    number, start = 1, 0
+    while (end := text.find("\n", start)) >= 0:
+        yield number, text[start:end].strip(), end + 1
+        number, start = number + 1, end + 1
+    yield number, text[start:].strip(), len(text) + 1
 
 
 def _significant(lines: list[str], start: int) -> list[tuple[int, str]]:
@@ -48,18 +71,24 @@ def _content(lines: list[str], comments: bool) -> list[str]:
     return list(filterfalse(_HASH_COMMENT, lines)) if comments else lines
 
 
-def _ints(tokens: list[str], n: int) -> list[int]:
-    """int() of every token.
+def _labels(n: int, m: int) -> dict[str, int] | None:
+    """A table of the decimal strings of the labels 0..n, or None.
 
-    When the labels 0..n are few and each comes up eight times on average or
-    more, they are looked up in a table of their decimal strings instead: 3x
-    faster on G(512, 0.29).  A table of more than ~4096 labels falls out of
-    the cache and loses to int() on random labels.
+    The table is made when the labels are few and each comes up eight times on
+    average or more among the 2m endpoints the header declares: looking tokens
+    up in it is 3x faster than int() on G(512, 0.29).  A table of more than
+    ~4096 labels falls out of the cache and loses to int() on random labels.
     """
-    if n <= 4096 and 8 * (n + 1) <= len(tokens):
-        table = dict(zip(map(str, range(n + 1)), range(n + 1)))
+    if n <= 4096 and 8 * (n + 1) <= 2 * m:
+        return dict(zip(map(str, range(n + 1)), range(n + 1)))
+    return None
+
+
+def _ints(tokens: list[str], labels: dict[str, int] | None) -> list[int]:
+    """int() of every token, looked up in the table `labels` if there is one."""
+    if labels is not None:
         try:
-            return list(map(table.__getitem__, tokens))
+            return list(map(labels.__getitem__, tokens))
         except KeyError:
             pass
     return list(map(int, tokens))
@@ -89,24 +118,24 @@ def _parse_counts(n_token: str, m_token: str, line: int) -> tuple[int, int]:
 _Walk = Callable[[list[tuple[int, str]], list[tuple[int, int]], list[int]], None]
 
 
-def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, body: list[str], start: int,
+def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, text: str, number: int,
            walk: _Walk, header: str) -> Graph:
-    """The graph of the endpoint lists `ends`, which must hold the m edges its
-    header declares.
+    """The graph of the endpoint lists `ends`, which must hold the m edges that
+    the header on line `number` of the normalized `text` declares.
 
-    `ends` holds the edges of `body`, the lines from line `start` on, or is
-    None when their bulk parse failed.  On any fault, `walk` runs the per-line
-    rules over the significant lines of `body`, so the first fault in file
-    order is the one raised: Graph checks the pairs before the first line fault
-    first, and its EdgeError is raised at the line of the faulty pair.  A count
-    mismatch is raised at the last significant line.
+    `ends` holds the edges of the lines after the header, or is None when their
+    bulk parse failed.  On any fault, the text is split into lines and `walk`
+    runs the per-line rules over the significant ones after the header, so the
+    first fault in file order is the one raised: Graph checks the pairs before
+    the first line fault first, and its EdgeError is raised at the line of the
+    faulty pair.  A count mismatch is raised at the last significant line.
     """
     if ends is not None and len(ends[0]) == m:
         try:
             return Graph.from_endpoints(n, *ends)
         except EdgeError:
             pass
-    significant = _significant(body, start)
+    significant = _significant(text.split("\n")[number:], number + 1)
     pairs, numbers, fault = [], [], None
     try:
         walk(significant, pairs, numbers)
@@ -118,11 +147,43 @@ def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, body: list[
         raise ParseError(str(exc), numbers[exc.index]) from None
     if fault is not None:
         raise fault
-    last = significant[-1][0] if significant else start - 1
+    last = significant[-1][0] if significant else number
     raise ParseError(f"{header} declares {m} edges but {len(pairs)} found", last)
 
 
-# _ends splits a body once, after joining its lines with the marker
+def _ends(text: str, start: int, n: int, m: int, tag: str) -> tuple[list[int], list[int]] | None:
+    """The endpoint lists of the body text[start:] of a normalized text, or
+    None if one of its significant lines breaks a line rule.
+
+    Each line must be a 'u v' line (tag "") or an 'e u v' line or a 'c' comment
+    (tag "e").  The body is read one piece at a time: the lines that begin
+    within PIECE_CHARS characters of the piece's start.
+    """
+    labels = _labels(n, m)
+    us: list[int] = []
+    vs: list[int] = []
+    while start < len(text):
+        end = text.find("\n", start + PIECE_CHARS - 1)
+        if end < 0:
+            end = len(text)
+        piece = text[start:end]
+        start = end + 1
+        lines = _content(piece.split("\n"), "#" in piece)
+        tokens = _tokens(lines, tag)
+        if tokens is None and tag and "c" in piece:  # perhaps 'c' comments among the edge lines
+            tokens = _tokens(list(filterfalse(_C_COMMENT, lines)), tag)
+        if tokens is None:
+            return None
+        try:
+            ends = _ints(tokens, labels)
+        except ValueError:
+            return None
+        us += ends[0::2]
+        vs += ends[1::2]
+    return us, vs
+
+
+# _tokens splits a piece once, after joining its lines with the marker
 # token ";" after each line, and checks that the markers fell into their slots:
 # every third token (DIMACS: fourth) from index 2 (DIMACS: 3).  That is as
 # strict as splitting each line.  Every token outside the slots must convert to
@@ -133,30 +194,8 @@ def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, body: list[
 # "e 1 2 e" and "3 4" have as many tokens as two edge lines.
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list format: a "n m" header, then m lines "u v" with u < v.
-
-    Blank lines and lines starting with '#' are ignored anywhere.
-    """
-    lines = _split_lines(text)
-    for number, line in enumerate(map(str.strip, lines), 1):
-        if line and line[0] != "#":
-            break
-    else:
-        raise ParseError("missing 'n m' header line")
-    tokens = line.split()
-    if len(tokens) != 2:
-        raise ParseError(f"header must be 'n m', got {line!r}", number)
-    n, m = _parse_counts(tokens[0], tokens[1], number)
-    body = lines[number:]
-    ends = _ends(_content(body, "#" in text), n, "")
-    if ends is not None and any(map(gt, *ends)):
-        ends = None
-    return _graph(n, m, ends, body, number + 1, partial(_edge_list_walk, m=m), "header")
-
-
-def _ends(lines: list[str], n: int, tag: str) -> tuple[list[int], list[int]] | None:
-    """The endpoint lists of significant lines that are all 'u v' lines (tag
+def _tokens(lines: list[str], tag: str) -> list[str] | None:
+    """The endpoint tokens of significant lines that are all 'u v' lines (tag
     "") or all 'e u v' lines (tag "e"), or None if one breaks a line rule."""
     width = 4 if tag else 3
     tokens = " ; ".join([*lines, ""]).split()
@@ -167,11 +206,28 @@ def _ends(lines: list[str], n: int, tag: str) -> tuple[list[int], list[int]] | N
         if set(tokens[0::3]) - {tag}:
             return None
         del tokens[0::3]
-    try:
-        ends = _ints(tokens, n)
-    except ValueError:
-        return None
-    return ends[0::2], ends[1::2]
+    return tokens
+
+
+def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format: a "n m" header, then m lines "u v" with u < v.
+
+    Blank lines and lines starting with '#' are ignored anywhere.
+    """
+    text = _normalized(text)
+    for number, line, body in _lines(text):
+        if line and line[0] != "#":
+            break
+    else:
+        raise ParseError("missing 'n m' header line")
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ParseError(f"header must be 'n m', got {line!r}", number)
+    n, m = _parse_counts(tokens[0], tokens[1], number)
+    ends = _ends(text, body, n, m, "")
+    if ends is not None and any(map(gt, *ends)):
+        ends = None
+    return _graph(n, m, ends, text, number, partial(_edge_list_walk, m=m), "header")
 
 
 def _edge_list_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int],
@@ -196,8 +252,8 @@ def parse_dimacs(text: str) -> Graph:
     Edge endpoints may appear in either order; duplicates (in any orientation)
     and self-loops are rejected.
     """
-    lines = _split_lines(text)
-    for number, line in enumerate(map(str.strip, lines), 1):
+    text = _normalized(text)
+    for number, line, body in _lines(text):
         if line and line[0] != "#":
             tokens = line.split()
             if tokens[0] != "c":
@@ -211,12 +267,7 @@ def parse_dimacs(text: str) -> Graph:
     if len(tokens) != 4 or tokens[1] != "edge":
         raise ParseError(f"problem line must be 'p edge n m', got {line!r}", number)
     n, m = _parse_counts(tokens[2], tokens[3], number)
-    body = lines[number:]
-    content = _content(body, "#" in text)
-    ends = _ends(content, n, "e")
-    if ends is None and "c" in text:  # perhaps 'c' comments among the edge lines
-        ends = _ends(list(filterfalse(_C_COMMENT, content)), n, "e")
-    return _graph(n, m, ends, body, number + 1, _dimacs_walk, "problem line")
+    return _graph(n, m, _ends(text, body, n, m, "e"), text, number, _dimacs_walk, "problem line")
 
 
 def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]],

@@ -1,7 +1,8 @@
-"""Counting the Python frames a call runs, and recording the scan's steps,
-for tests that bound or check them."""
+"""Counting the Python frames a call runs, tracing the memory it allocates,
+and recording the scan's steps, for tests that bound or check them."""
 
 import sys
+import tracemalloc
 
 
 def python_calls(action) -> int:
@@ -20,6 +21,18 @@ def python_calls(action) -> int:
     finally:
         sys.setprofile(old)
     return calls
+
+
+def traced_peak(action) -> tuple[int, int]:
+    """(peak, live) bytes that tracemalloc traces while action() runs; live is
+    read on its return, with the result still held."""
+    tracemalloc.start()
+    try:
+        result = action()  # held while live is read
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, live
 
 
 def scan_steps(construct, view, **options):

@@ -180,6 +180,29 @@ class TestCodeCommand:
         assert captured.out == ""
         assert captured.err == "lexid: parse error: line 3: duplicate edge (1, 2)\n"
 
+    @pytest.mark.parametrize("text", ["3 2\n1 2\n2 3\n", "p edge 3 2\ne 1 2\ne 3 2\n", "c x\r\np edge 3 0"])
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, monkeypatch, text, stdin):
+        def run(text):
+            if stdin:
+                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                return main(["code", "-"]), capsys.readouterr()
+            path = tmp_path / "graph.txt"
+            path.write_text(text, encoding="utf-8")
+            return main(["code", str(path)]), capsys.readouterr()
+
+        assert run("\ufeff" + text) == run(text)
+
+    @pytest.mark.parametrize("text, err", [
+        ("\ufeff\ufeff3 0", "line 1: expected integer vertex count, got '\\ufeff3'"),
+        ("3 1\n\ufeff1 2", "line 2: expected integer endpoint, got '\\ufeff1'"),
+    ])
+    def test_any_other_byte_order_mark_is_a_parse_error(self, tmp_path, capsys, text, err):
+        path = tmp_path / "graph.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["twins", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"lexid: parse error: {err}\n")
+
     def test_missing_file_exit_one(self, capsys):
         assert main(["code", "/nonexistent/graph.txt"]) == 1
 

@@ -1,17 +1,19 @@
-"""The parsers and Graph against the streaming reference front end, and the
-front end's cost: no allocation sized by n before a view, and no per-edge calls."""
+"""The parsers and Graph against the streaming reference front end, with the
+body tokenized in pieces of any size, and the front end's cost: no allocation
+sized by n before a view, transient memory of a few pieces, and no per-edge
+calls."""
 
 import operator
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexid.graphio
 from lexid import Graph, ParseError, gnp_graph, parse_graph, to_dimacs, to_edge_list
 from lexid.cli import main
 
-from calls import python_calls
+from calls import python_calls, traced_peak
 from oracles import reference_edge_set, reference_parse_dimacs, reference_parse_edge_list
 
 # Characters str.splitlines() breaks at but graph files do not; all of them are
@@ -181,6 +183,61 @@ def test_the_bulk_parse_keeps_the_line_rules(fmt, text):
         assert (g.n, g.edges) == (n, edges)
 
 
+@settings(max_examples=200)
+@given(graph_texts(), st.integers(1, 8))
+def test_pieces_of_a_few_characters_keep_the_reference_results(case, piece_chars):
+    # most line ends, blank, '#' and 'c' lines now fall on or across a piece boundary
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lexid.graphio, "PIECE_CHARS", piece_chars)
+        test_parsers_agree_with_the_streaming_reference.hypothesis.inner_test(case)
+
+
+@pytest.mark.parametrize("piece_chars", [1, 2, 3, 5])
+def test_pieces_of_a_few_characters_keep_the_line_rules(monkeypatch, piece_chars):
+    monkeypatch.setattr(lexid.graphio, "PIECE_CHARS", piece_chars)
+    for fmt, text in LINE_RULE_CASES:
+        test_the_bulk_parse_keeps_the_line_rules(fmt, text)
+
+
+def _many_piece_text(fmt: str, fault: str) -> str:
+    """A path on 20000 vertices, more than three pieces long, with one fault
+    on its last line."""
+    n = 20000
+    dimacs = fmt == "dimacs"
+    tag = "e " if dimacs else ""
+    lines = [f"{tag}{v} {v + 1}" for v in range(1, n)]
+    m = len(lines)
+    if fault == "duplicate":
+        lines[-1] = lines[0]
+    elif fault == "reversed":
+        lines[-1] = f"{tag}{n} {n - 1}"
+    elif fault == "self-loop":
+        lines[-1] = f"{tag}{n} {n}"
+    elif fault == "token":
+        lines[-1] = f"{tag}{n - 1} x"
+    elif fault == "extra":
+        lines.append(f"{tag}1 3")
+    elif fault == "count":
+        m += 1
+    return "\n".join([f"p edge {n} {m}" if dimacs else f"{n} {m}", *lines])
+
+
+@pytest.mark.parametrize("fault", ["duplicate", "reversed", "self-loop", "token", "extra", "count"])
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+def test_a_fault_in_the_last_piece_is_named_at_its_line(fmt, fault):
+    text = _many_piece_text(fmt, fault)
+    last_line = text.count("\n") + 1
+    assert text.find("\n", 1) < lexid.graphio.PIECE_CHARS  # the first edge line is in the first piece
+    assert text.rfind("\n") > 3 * lexid.graphio.PIECE_CHARS  # the last is in a fourth piece or later
+    if (fmt, fault) == ("dimacs", "reversed"):  # DIMACS takes either order
+        assert parse_graph(text, fmt).n == 20000
+    else:
+        with pytest.raises(ParseError) as info:
+            _reference(fmt, text)
+        assert info.value.line == last_line
+    test_the_bulk_parse_keeps_the_line_rules(fmt, text)
+
+
 @st.composite
 def pair_lists(draw):
     """(n, pairs): short lists of mostly int pairs, with bools, floats, wrong-length
@@ -252,14 +309,18 @@ def test_graph_keeps_the_callers_canonical_tuples():
 
 @pytest.mark.parametrize("text", ["1000000 0", "p edge 1000000 0"])
 def test_a_huge_header_allocates_nothing_sized_by_n(text):
-    tracemalloc.start()
-    try:
-        g = parse_graph(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert g.n == 1000000
+    peak, _ = traced_peak(lambda: parse_graph(text))
+    assert parse_graph(text).n == 1000000
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
+def test_the_parse_holds_little_beyond_the_graph(serialize):
+    # G(512, 0.29), 38k edges in a 0.3 MB text: the transient bytes are ~3.2 MiB,
+    # most of them Graph's own checks; a whole-file tokenization took ~6.3 MiB
+    text = serialize(gnp_graph(512, 0.29, seed=0))
+    peak, live = traced_peak(lambda: parse_graph(text))
+    assert peak - live < 4.5 * 2**20
 
 
 def test_minimum_refuses_a_huge_header_before_any_view(tmp_path, capsys):
