@@ -68,7 +68,7 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         row = list(compress(range(u + 1, n + 1), rng.flags_below(n - u, limit)))
         us += [u] * len(row)
         vs += row
-    return Graph.from_endpoints(n, us, vs)
+    return Graph._from_int_endpoints(n, us, vs, oriented=True)  # ints from range(), u < v
 
 
 def hypercube_graph(dim: int) -> Graph:

@@ -30,9 +30,10 @@ class Graph:
     constructor accepts any iterable of pairs of `int` (a `bool` is not a
     vertex) and rejects self-loops, out-of-range endpoints, and duplicate edges
     (in either orientation); `from_endpoints` takes the same edges as two
-    endpoint lists.  Both run the package's only edge rules.  They check all
-    edges at once; only when a check fails does one walk over the edges find
-    the first faulty one, raising EdgeError with its message and index.
+    endpoint lists, and `_from_int_endpoints` lists of exact ints with no type
+    pass.  They run the package's only edge rules, on all edges at once; only
+    when a check fails does one walk over the edges find the first faulty one,
+    raising EdgeError with its message and index.
     Nothing sized by n is allocated before a view is asked for.  The sorted
     lists are the one view built from the edges; the bit matrix is derived
     from them.
@@ -53,7 +54,8 @@ class Graph:
             if set(map(len, pairs)) <= {2}:
                 us = list(map(itemgetter(0), pairs))
                 vs = list(map(itemgetter(1), pairs))
-                checked = _checked_pairs(n, us, vs, pairs)
+                if set(map(type, chain(us, vs))) <= {int}:
+                    checked = _checked_pairs(n, us, vs, pairs)
         if checked is None:
             raise _first_fault(n, items)
         object.__setattr__(self, "n", n)
@@ -62,11 +64,20 @@ class Graph:
     @classmethod
     def from_endpoints(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> Graph:
         """The graph Graph(n, zip(us, vs)) builds, or the exception it raises,
-        with the edge rules run on the endpoint lists as given."""
+        with every edge rule, the type rule too, run on the lists as given."""
         _check_vertex_count(n)
         if len(us) != len(vs):
             raise ValueError(f"endpoint lists differ in length: {len(us)} and {len(vs)}")
-        pairs = _checked_pairs(n, us, vs, None)
+        if not set(map(type, chain(us, vs))) <= {int}:
+            raise _first_fault(n, zip(us, vs))
+        return cls._from_int_endpoints(n, us, vs)
+
+    @classmethod
+    def _from_int_endpoints(cls, n: int, us: list[int], vs: list[int], oriented: bool = False) -> Graph:
+        """from_endpoints(n, us, vs) with no type pass, for lists of exact ints
+        such as the parsers make with int() and gnp_graph takes from range();
+        `oriented` vouches that every us[i] < vs[i] too, and skips that pass."""
+        pairs = _checked_pairs(n, us, vs, None, oriented)
         if pairs is None:
             raise _first_fault(n, zip(us, vs))
         g = cls.__new__(cls)
@@ -282,20 +293,18 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
 
 
-def _checked_pairs(n: int, us: Sequence, vs: Sequence,
-                   pairs: Sequence[tuple] | None) -> tuple[tuple[int, int], ...] | None:
-    """The edges (us[i], vs[i]) as (u, v) tuples with u < v, or None if one
-    breaks an edge rule.
+def _checked_pairs(n: int, us: Sequence[int], vs: Sequence[int], pairs: Sequence[tuple] | None,
+                   oriented: bool = False) -> tuple[tuple[int, int], ...] | None:
+    """The edges (us[i], vs[i]) of exact ints as (u, v) tuples with u < v, or
+    None if one breaks an edge rule.
 
     `pairs`, if given, holds the same edges as tuples, which are kept when all
-    are already canonical.  Every check is one pass in C over all endpoints:
-    exact int types, no self-loop, endpoints in 1..n, and no pair twice.
+    are canonical, as `oriented` vouches they are.  Every check is one pass in
+    C over all endpoints: no self-loop, endpoints in 1..n, and no pair twice.
     """
     if not us:
         return ()
-    if set(map(type, chain(us, vs))) != {int}:
-        return None
-    if not all(map(lt, us, vs)):
+    if not oriented and not all(map(lt, us, vs)):
         if any(map(eq, us, vs)):
             return None
         us, vs, pairs = list(map(min, us, vs)), list(map(max, us, vs)), None

@@ -6,11 +6,13 @@ indices define the processing order.
 
 A parse reads lines from the start only up to the header.  It tokenizes the
 body after it one piece at a time, each piece the lines that begin within
-PIECE_CHARS characters of its start, and appends each piece's endpoints to two
-int lists.  So beside the text, the endpoint lists and the Graph, a parse
-holds the lines and tokens of one piece, never of the whole file.  Only when a
-check fails is the whole text split into numbered lines, to name the first
-fault.
+PIECE_CHARS characters of its start: split once, its line breaks marked, or,
+if it holds a blank line, a '#' or (in DIMACS) a 'c', split into lines first
+to drop blank and comment lines.  Each piece's endpoints, all exact ints, are
+appended to two int lists, which Graph takes with no type pass.  So beside the
+text, the endpoint lists and the Graph, a parse holds the tokens of one piece,
+never of the whole file.  Only when a check fails is the whole text split into
+numbered lines, to name the first fault.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import re
 from functools import partial
 from itertools import chain, filterfalse
-from operator import gt
+from operator import lt
 from typing import Callable
 
 from .graph import EdgeError, Graph
@@ -64,11 +66,13 @@ def _significant(lines: list[str], start: int) -> list[tuple[int, str]]:
     return [(number, line) for number, line in numbered if line and line[0] != "#"]
 
 
-def _content(lines: list[str], comments: bool) -> list[str]:
-    """The significant lines, unstripped; '#' comments are looked for only if
-    `comments` says the text has a '#'."""
-    lines = list(filter(str.strip, lines))
-    return list(filterfalse(_HASH_COMMENT, lines)) if comments else lines
+def _content(piece: str, tag: str) -> list[str]:
+    """The significant lines of a piece, unstripped; '#' (DIMACS: and 'c')
+    comments are looked for only if the piece has a '#' (a 'c')."""
+    lines = list(filter(str.strip, piece.split("\n")))
+    if "#" in piece:
+        lines = list(filterfalse(_HASH_COMMENT, lines))
+    return list(filterfalse(_C_COMMENT, lines)) if tag and "c" in piece else lines
 
 
 def _labels(n: int, m: int) -> dict[str, int] | None:
@@ -119,20 +123,21 @@ _Walk = Callable[[list[tuple[int, str]], list[tuple[int, int]], list[int]], None
 
 
 def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, text: str, number: int,
-           walk: _Walk, header: str) -> Graph:
+           walk: _Walk, header: str, oriented: bool = False) -> Graph:
     """The graph of the endpoint lists `ends`, which must hold the m edges that
     the header on line `number` of the normalized `text` declares.
 
     `ends` holds the edges of the lines after the header, or is None when their
-    bulk parse failed.  On any fault, the text is split into lines and `walk`
-    runs the per-line rules over the significant ones after the header, so the
-    first fault in file order is the one raised: Graph checks the pairs before
-    the first line fault first, and its EdgeError is raised at the line of the
-    faulty pair.  A count mismatch is raised at the last significant line.
+    bulk parse failed; `oriented` says the caller checked every u < v.  On any
+    fault, the text is split into lines and `walk` runs the per-line rules over
+    the significant ones after the header, so the first fault in file order is
+    the one raised: Graph checks the pairs before the first line fault first,
+    and its EdgeError is raised at the line of the faulty pair.  A count
+    mismatch is raised at the last significant line.
     """
     if ends is not None and len(ends[0]) == m:
         try:
-            return Graph.from_endpoints(n, *ends)
+            return Graph._from_int_endpoints(n, *ends, oriented)
         except EdgeError:
             pass
     significant = _significant(text.split("\n")[number:], number + 1)
@@ -157,21 +162,24 @@ def _ends(text: str, start: int, n: int, m: int, tag: str) -> tuple[list[int], l
 
     Each line must be a 'u v' line (tag "") or an 'e u v' line or a 'c' comment
     (tag "e").  The body is read one piece at a time: the lines that begin
-    within PIECE_CHARS characters of the piece's start.
+    within PIECE_CHARS characters of its start, less the line break after them.
     """
     labels = _labels(n, m)
     us: list[int] = []
     vs: list[int] = []
-    while start < len(text):
-        end = text.find("\n", start + PIECE_CHARS - 1)
+    stop = len(text) - text.endswith("\n")
+    while start < stop:
+        end = text.find("\n", start + PIECE_CHARS - 1, stop)
         if end < 0:
-            end = len(text)
+            end = stop
         piece = text[start:end]
         start = end + 1
-        lines = _content(piece.split("\n"), "#" in piece)
-        tokens = _tokens(lines, tag)
-        if tokens is None and tag and "c" in piece:  # perhaps 'c' comments among the edge lines
-            tokens = _tokens(list(filterfalse(_C_COMMENT, lines)), tag)
+        tokens = None
+        if "\n\n" not in piece and "#" not in piece and not (tag and "c" in piece):
+            tokens = _tokens(piece.replace("\n", " ; "), piece.count("\n") + 1, tag)
+        if tokens is None:  # blank or comment lines, or a fault
+            lines = _content(piece, tag)
+            tokens = _tokens(" ; ".join(lines), len(lines), tag)
         if tokens is None:
             return None
         try:
@@ -183,23 +191,25 @@ def _ends(text: str, start: int, n: int, m: int, tag: str) -> tuple[list[int], l
     return us, vs
 
 
-# _tokens splits a piece once, after joining its lines with the marker
-# token ";" after each line, and checks that the markers fell into their slots:
-# every third token (DIMACS: fourth) from index 2 (DIMACS: 3).  That is as
-# strict as splitting each line.  Every token outside the slots must convert to
-# an int (or, in DIMACS, be the "e" of its line), and ";" does neither, so the L
-# markers can only sit in the L slots.  They fill them only if every line has
-# exactly 2 (DIMACS: 3) tokens, and a literal ";" in a line then falls outside
-# the slots and fails.  The token count alone is not enough: the DIMACS lines
-# "e 1 2 e" and "3 4" have as many tokens as two edge lines.
+# _tokens splits L lines at once, with the marker token ";" between each two (a
+# piece's line breaks replaced by it, or its filtered lines joined by it), and
+# checks that the L - 1 markers fell into their slots, every third token
+# (DIMACS: fourth) from index 2 (DIMACS: 3) of width * L - 1 tokens (of none if
+# L = 0).  That is as strict as splitting each line.  Every token outside the slots must convert
+# to an int (or, in DIMACS, be the "e" of its line), and ";" does neither, so
+# the markers can only sit in the slots.  They fill them only if every line has
+# exactly 2 (DIMACS: 3) tokens, and a literal ";" in a line or a marker next to
+# a blank line then falls outside the slots and fails.  The token count alone is
+# not enough: the DIMACS lines "e 1 2 e" and "3 4" have as many tokens as two
+# edge lines.
 
 
-def _tokens(lines: list[str], tag: str) -> list[str] | None:
-    """The endpoint tokens of significant lines that are all 'u v' lines (tag
-    "") or all 'e u v' lines (tag "e"), or None if one breaks a line rule."""
+def _tokens(marked: str, lines: int, tag: str) -> list[str] | None:
+    """The endpoint tokens of `lines` marked lines that are all 'u v' lines
+    (tag "") or all 'e u v' lines (tag "e"), or None if one breaks a line rule."""
     width = 4 if tag else 3
-    tokens = " ; ".join([*lines, ""]).split()
-    if len(tokens) != width * len(lines) or set(tokens[width - 1::width]) - {";"}:
+    tokens = marked.split()
+    if len(tokens) != max(width * lines - 1, 0) or set(tokens[width - 1::width]) - {";"}:
         return None
     del tokens[width - 1::width]
     if tag:
@@ -225,9 +235,9 @@ def parse_edge_list(text: str) -> Graph:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
     ends = _ends(text, body, n, m, "")
-    if ends is not None and any(map(gt, *ends)):
+    if ends is not None and not all(map(lt, *ends)):
         ends = None
-    return _graph(n, m, ends, text, number, partial(_edge_list_walk, m=m), "header")
+    return _graph(n, m, ends, text, number, partial(_edge_list_walk, m=m), "header", oriented=True)
 
 
 def _edge_list_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int],

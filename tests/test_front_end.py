@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexid.graphio
-from lexid import Graph, ParseError, gnp_graph, parse_graph, to_dimacs, to_edge_list
+from lexid import Graph, ParseError, gnp_graph, parse_graph, path_graph, to_dimacs, to_edge_list
 from lexid.cli import main
+from lexid.graph import EdgeError
 
 from calls import python_calls, traced_peak
 from oracles import reference_edge_set, reference_parse_dimacs, reference_parse_edge_list
@@ -238,6 +239,58 @@ def test_a_fault_in_the_last_piece_is_named_at_its_line(fmt, fault):
     test_the_bulk_parse_keeps_the_line_rules(fmt, text)
 
 
+@pytest.mark.parametrize("final_break", [True, False])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
+def test_a_clean_body_is_never_split_into_lines(monkeypatch, serialize, line_end, final_break):
+    # each piece of a file with no blank or comment line is split once, the
+    # last one too, whether the file ends with a line break or not
+    content = lexid.graphio._content
+    calls = []
+    monkeypatch.setattr(lexid.graphio, "_content", lambda *args: calls.append(1) or content(*args))
+    g = path_graph(20000)
+    text = serialize(g).replace("\n", line_end)
+    if not final_break:
+        text = text[:-len(line_end)]
+    assert len(text) > 3 * lexid.graphio.PIECE_CHARS
+    assert parse_graph(text) == g
+    assert calls == []
+
+
+# Bodies with blank lines, whitespace-only lines, '#' lines, DIMACS 'c' lines
+# and literal ';' tokens, which the pieces holding them must filter or refuse
+# as the per-line rules do.  In the last case of each format, a literal ';' and
+# the marker of a whitespace-only line keep the token count and the slots
+# right, so only the conversion to ints refuses the piece.
+NOISY_BODY_CASES = [
+    ("edgelist", "4 3\n1 2\n\n2 3\n3 4\n"),
+    ("edgelist", "4 3\n1 2\n \n2 3\n\v\n3 4"),
+    ("edgelist", "4 3\n\x1c\n1 2\n2 3\n\u2028\n3 4\n\n"),
+    ("edgelist", "4 3\n1 2\n# a ; b\n2 3\n  #\n3 4\n# c"),
+    ("edgelist", "4 3\n1 2\n\n2 1\n3 4"),
+    ("edgelist", "4 3\n1 2\n# x\n1 2\n3 4"),
+    ("edgelist", "4 3\n1 2\n\v\n2 3\n3 4\n\n4 1"),
+    ("edgelist", "4 3\n1 2\n2 ; 3\n3 4"),
+    ("edgelist", "4 3\n1 2\n\n2 3 ;\n3 4"),
+    ("edgelist", "4 2\n1 2 ; 3\n \n3 4"),
+    ("dimacs", "p edge 4 3\nc x\ne 1 2\ne 3 2\nc\ne 4 3\n"),
+    ("dimacs", "p edge 4 3\ne 1 2\n\x1c\ne 3 2\n\u2028\ne 4 3\n \n"),
+    ("dimacs", "p edge 4 3\ne 1 2\nc ; x\n# y\ne 2 3\n\v\ne 4 3"),
+    ("dimacs", "p edge 4 3\ne 1 2\n\ne 2 ;\ne 3 4"),
+    ("dimacs", "p edge 4 3\ne 1 2\nc\ne 2 1\ne 3 4"),
+    ("dimacs", "p edge 4 3\ne 1 2\n\nc x\ne 2 3\nc 3 4\n"),
+    ("dimacs", "p edge 4 2\ne 1 2 ; e 3\n \ne 3 4"),
+]
+
+
+@pytest.mark.parametrize("piece_chars", [None, *range(1, 9)])
+def test_noisy_bodies_keep_the_reference_results(monkeypatch, piece_chars):
+    if piece_chars is not None:
+        monkeypatch.setattr(lexid.graphio, "PIECE_CHARS", piece_chars)
+    for fmt, text in NOISY_BODY_CASES:
+        test_the_bulk_parse_keeps_the_line_rules(fmt, text)
+
+
 @st.composite
 def pair_lists(draw):
     """(n, pairs): short lists of mostly int pairs, with bools, floats, wrong-length
@@ -305,6 +358,46 @@ def test_graph_keeps_the_callers_canonical_tuples():
     g = Graph(40, pairs)
     assert len(g.pairs) == len(pairs)
     assert all(map(operator.is_, g.pairs, pairs))
+
+
+@st.composite
+def dense_texts(draw):
+    """(format, text) of a graph dense enough that the parser converts its
+    tokens through its table of labels, with any line-break style."""
+    g = gnp_graph(draw(st.integers(16, 40)), draw(st.sampled_from([0.7, 1.0])), draw(st.integers(0, 9)))
+    fmt = draw(st.sampled_from(["edgelist", "dimacs"]))
+    text = (to_dimacs if fmt == "dimacs" else to_edge_list)(g)
+    return fmt, text.replace("\n", draw(st.sampled_from(["\n", "\r\n", "\r"])))
+
+
+@settings(max_examples=200)
+@given(st.one_of(graph_texts(), dense_texts()))
+def test_the_parsers_hand_graph_only_exact_ints(case):
+    fmt, text = case
+    entry = Graph._from_int_endpoints.__func__
+    handed = []
+
+    def recording(cls, n, us, vs, oriented=False):
+        handed.extend(map(type, [n, *us, *vs]))
+        return entry(cls, n, us, vs, oriented)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Graph, "_from_int_endpoints", classmethod(recording))
+        try:
+            parse_graph(text, fmt)
+        except ParseError:
+            pass
+    assert set(handed) <= {int}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_the_public_entries_keep_the_type_rule(bad):
+    us, vs = [1, 2, bad], [2, 3, 3]
+    for build in (lambda: Graph(3, list(zip(us, vs))), lambda: Graph(3, zip(us, vs)),
+                  lambda: Graph.from_endpoints(3, us, vs)):
+        with pytest.raises(EdgeError) as info:
+            build()
+        assert (str(info.value), info.value.index) == (f"edge endpoints must be integers, got ({bad!r}, 3)", 2)
 
 
 @pytest.mark.parametrize("text", ["1000000 0", "p edge 1000000 0"])

@@ -191,12 +191,20 @@ class TestGraphIsTheEdgeValidator:
         def from_endpoints(cls, n, us, vs):
             return cls(n, zip(us, vs))
 
+        @classmethod
+        def _from_int_endpoints(cls, n, us, vs, oriented=False):
+            return cls(n, zip(us, vs))
+
     class FailingAtIndexOne:
         def __init__(self, n, edges):
             raise EdgeError("x", 1)
 
         @classmethod
         def from_endpoints(cls, n, us, vs):
+            return cls(n, zip(us, vs))
+
+        @classmethod
+        def _from_int_endpoints(cls, n, us, vs, oriented=False):
             return cls(n, zip(us, vs))
 
     @pytest.mark.parametrize(
