@@ -9,7 +9,7 @@ stream documented in the README, a row of pairs at a time.
 from __future__ import annotations
 
 import math
-from itertools import compress
+from itertools import compress, islice
 from typing import Sequence
 
 from .graph import Graph
@@ -62,11 +62,12 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
     rng = SplitMix64(seed)
     limit = math.ceil(p * 2**53) << 11
+    labels = list(range(n + 1))  # one int object per label, shared by all its endpoints
     us: list[int] = []
     vs: list[int] = []
     for u in range(1, n):
-        row = list(compress(range(u + 1, n + 1), rng.flags_below(n - u, limit)))
-        us += [u] * len(row)
+        row = list(compress(islice(labels, u + 1, None), rng.flags_below(n - u, limit)))
+        us += [labels[u]] * len(row)
         vs += row
     return Graph._from_int_endpoints(n, us, vs, oriented=True)  # ints from range(), u < v
 

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import eq, itemgetter, lt
+from itertools import chain, repeat
+from operator import add, eq, floordiv, itemgetter, lt, mod, mul
 from typing import Iterable, Sequence, Union
 
 
@@ -21,26 +21,27 @@ class EdgeError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Graph:
     """Undirected simple graph on vertices 1..n.
 
-    The edges are stored once, as the tuple `pairs` of (u, v) with u < v in the
-    order given; `edges` is their frozenset, built on first use.  The
-    constructor accepts any iterable of pairs of `int` (a `bool` is not a
-    vertex) and rejects self-loops, out-of-range endpoints, and duplicate edges
-    (in either orientation); `from_endpoints` takes the same edges as two
-    endpoint lists, and `_from_int_endpoints` lists of exact ints with no type
-    pass.  They run the package's only edge rules, on all edges at once; only
-    when a check fails does one walk over the edges find the first faulty one,
-    raising EdgeError with its message and index.
+    The edges are stored once, as two private lists `_us` and `_vs`, never
+    mutated, of the pairs u < v in the order given, with the bit `_increasing`
+    set if they strictly increase; `edges`, their frozenset, is built on first
+    use, and `pairs`, their tuple, on each use.  The constructor accepts any
+    iterable of pairs of `int` (a `bool` is not a vertex) and rejects
+    self-loops, out-of-range endpoints, and duplicate edges (in either
+    orientation); `from_endpoints` takes the same edges as two endpoint lists,
+    and `_from_int_endpoints` lists of exact ints with no type pass.  They run
+    the package's only edge rules, on all edges at once; only when a check
+    fails does one walk over the edges find the first faulty one, raising
+    EdgeError with its message and index.
     Nothing sized by n is allocated before a view is asked for.  The sorted
     lists are the one view built from the edges; the bit matrix is derived
     from them.
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         _check_vertex_count(n)
@@ -58,36 +59,66 @@ class Graph:
                     checked = _checked_pairs(n, us, vs, pairs)
         if checked is None:
             raise _first_fault(n, items)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "pairs", checked)
+        self._keep(n, *checked)
 
     @classmethod
     def from_endpoints(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> Graph:
         """The graph Graph(n, zip(us, vs)) builds, or the exception it raises,
-        with every edge rule, the type rule too, run on the lists as given."""
+        with every edge rule, the type rule too, run on copies of the lists."""
         _check_vertex_count(n)
         if len(us) != len(vs):
             raise ValueError(f"endpoint lists differ in length: {len(us)} and {len(vs)}")
         if not set(map(type, chain(us, vs))) <= {int}:
             raise _first_fault(n, zip(us, vs))
-        return cls._from_int_endpoints(n, us, vs)
+        return cls._from_int_endpoints(n, list(us), list(vs))
 
     @classmethod
     def _from_int_endpoints(cls, n: int, us: list[int], vs: list[int], oriented: bool = False) -> Graph:
-        """from_endpoints(n, us, vs) with no type pass, for lists of exact ints
-        such as the parsers make with int() and gnp_graph takes from range();
-        `oriented` vouches that every us[i] < vs[i] too, and skips that pass."""
-        pairs = _checked_pairs(n, us, vs, None, oriented)
-        if pairs is None:
+        """from_endpoints(n, us, vs) with no type pass and no copy, for lists of
+        exact ints such as the parsers make with int() and gnp_graph takes from
+        range(), which the graph takes over; `oriented` vouches that every
+        us[i] < vs[i] too.  It starts as Graph(n): every graph passes __init__."""
+        checked = _checked_pairs(n, us, vs, None, oriented)
+        if checked is None:
             raise _first_fault(n, zip(us, vs))
-        g = cls.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "pairs", pairs)
+        g = cls(n)
+        g._keep(n, *checked)
         return g
+
+    def _keep(self, n: int, us: list[int], vs: list[int], increasing: bool) -> None:
+        self.__dict__.update(n=n, _us=us, _vs=vs, _increasing=increasing)  # past the frozen __setattr__
+
+    def _sorted_endpoints(self) -> tuple[int, ...]:
+        """u1, v1, u2, v2, ... of the pairs in increasing order, sorted only if they are not."""
+        if not self._increasing:
+            return tuple(chain.from_iterable(sorted(zip(self._us, self._vs))))
+        ends = [0] * (2 * len(self._us))
+        ends[0::2], ends[1::2] = self._us, self._vs
+        return tuple(ends)
+
+    def _relabeled(self, label: list[int]) -> Graph:
+        """The graph with each vertex v renamed label[v], for label a permutation of
+        0..n that fixes 0, its pairs sorted: pair a < b has the key a * (n + 1) + b."""
+        w = self.n + 1
+        relabeled = zip(map(label.__getitem__, self._us), map(label.__getitem__, self._vs))
+        keys = [a * w + b if a < b else b * w + a for a, b in relabeled]
+        keys.sort()
+        vertices = list(range(w))  # decoded endpoints are looked up here, to share one int per vertex
+        us = list(map(vertices.__getitem__, map(floordiv, keys, repeat(w))))
+        vs = list(map(vertices.__getitem__, map(mod, keys, repeat(w))))
+        return Graph._from_int_endpoints(self.n, us, vs, oriented=True)  # increasing: no duplicate set
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) tuples, u < v, in the order given; built anew on each use."""
+        return tuple(zip(self._us, self._vs))
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.pairs)
+        return frozenset(zip(self._us, self._vs))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n!r}, pairs={self.pairs!r})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -101,7 +132,7 @@ class Graph:
     def degrees(self) -> tuple[int, ...]:
         """Degree of each vertex; index 0 is unused padding."""
         deg = [0] * (self.n + 1)
-        for u, v in self.pairs:
+        for u, v in zip(self._us, self._vs):
             deg[u] += 1
             deg[v] += 1
         return tuple(deg)
@@ -120,7 +151,7 @@ class Graph:
         """Sorted-list view: entry j is the ascending tuple of N(v_j)."""
         adj = [[v] for v in range(self.n + 1)]
         adj[0].clear()
-        for u, v in self.pairs:
+        for u, v in zip(self._us, self._vs):
             adj[u].append(v)
             adj[v].append(u)
         for members in adj:
@@ -293,25 +324,28 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
 
 
-def _checked_pairs(n: int, us: Sequence[int], vs: Sequence[int], pairs: Sequence[tuple] | None,
-                   oriented: bool = False) -> tuple[tuple[int, int], ...] | None:
-    """The edges (us[i], vs[i]) of exact ints as (u, v) tuples with u < v, or
-    None if one breaks an edge rule.
-
-    `pairs`, if given, holds the same edges as tuples, which are kept when all
-    are canonical, as `oriented` vouches they are.  Every check is one pass in
-    C over all endpoints: no self-loop, endpoints in 1..n, and no pair twice.
+def _checked_pairs(n: int, us: list[int], vs: list[int], pairs: Sequence[tuple] | None,
+                   oriented: bool = False) -> tuple[list[int], list[int], bool] | None:
+    """(us, vs, increasing): the edges (us[i], vs[i]) of exact ints as lists with
+    every us[i] < vs[i] (the ones given if `oriented` vouches so or all are) and
+    whether the pairs strictly increase; or None if one breaks an edge rule.
+    Every check is one pass in C over all endpoints: no self-loop, endpoints in
+    1..n, and no pair twice, which needs a set only if the pairs do not strictly
+    increase: of `pairs`, the edges as canonical tuples, if given, else of int keys.
     """
-    if not us:
-        return ()
     if not oriented and not all(map(lt, us, vs)):
         if any(map(eq, us, vs)):
             return None
         us, vs, pairs = list(map(min, us, vs)), list(map(max, us, vs)), None
-    if min(us) < 1 or max(vs) > n:
+    if us and (min(us) < 1 or max(vs) > n):
         return None
-    pairs = tuple(zip(us, vs) if pairs is None else pairs)
-    return pairs if len(set(pairs)) == len(pairs) else None
+    ordered, later = (zip(us, vs), zip(us, vs)) if pairs is None else (pairs, iter(pairs))
+    next(later, None)  # one pair ahead of ordered
+    increasing = all(map(lt, ordered, later))
+    keys = map(add, map(mul, us, repeat(n + 1)), vs) if pairs is None else pairs  # ints: untracked by GC
+    if not increasing and len(set(keys)) != len(us):
+        return None
+    return us, vs, increasing
 
 
 def _first_fault(n: int, items: Iterable) -> EdgeError:

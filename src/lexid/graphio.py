@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import partial
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from operator import lt
 from typing import Callable
 
@@ -299,19 +299,23 @@ def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]
         numbers.append(number)
 
 
-def _edge_lines(g: Graph, line: str) -> str:
-    """One `line % (u, v)` per edge, edges sorted, made by a single format."""
-    return (line * len(g.pairs)) % tuple(chain.from_iterable(sorted(g.pairs)))
+def _serialized(g: Graph, header: str, line: str) -> str:
+    """`header % (n, m)`, then one `line % (u, v)` per edge, edges sorted, made by a single format."""
+    ends = g._sorted_endpoints()  # before the format string, so the two are never held together
+    m = len(ends) // 2
+    body = (line * m) % ends
+    del ends  # before the header is joined on, which copies the body
+    return header % (g.n, m) + body
 
 
 def to_edge_list(g: Graph) -> str:
     """Serialize to the edge-list format with edges sorted lexicographically."""
-    return f"{g.n} {len(g.pairs)}\n" + _edge_lines(g, "%d %d\n")
+    return _serialized(g, "%d %d\n", "%d %d\n")
 
 
 def to_dimacs(g: Graph) -> str:
     """Serialize to DIMACS format with edges sorted lexicographically."""
-    return f"p edge {g.n} {len(g.pairs)}\n" + _edge_lines(g, "e %d %d\n")
+    return _serialized(g, "p edge %d %d\n", "e %d %d\n")
 
 
 def detect_format(text: str) -> str:

@@ -65,9 +65,7 @@ def as_strategy(strategy: OrderingStrategy | str | Sequence[int]) -> OrderingStr
 
 def apply_sequence(g: Graph, sequence: Sequence[int]) -> Graph:
     """Relabel g so that sequence[i-1] becomes vertex i."""
-    label = _positions(sequence, g.n)  # label[v] is the new label of old vertex v
-    pairs = ((label[u], label[v]) for u, v in g.pairs)
-    return Graph(g.n, [(a, b) if a < b else (b, a) for a, b in pairs])  # canonical, so Graph keeps them
+    return g._relabeled(_positions(sequence, g.n))
 
 
 def code_to_original(code: Code, sequence: Sequence[int]) -> Code:

@@ -3,19 +3,25 @@ body tokenized in pieces of any size, and the front end's cost: no allocation
 sized by n before a view, transient memory of a few pieces, and no per-edge
 calls."""
 
-import operator
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexid.graphio
-from lexid import Graph, ParseError, gnp_graph, parse_graph, path_graph, to_dimacs, to_edge_list
+from lexid import (
+    Graph, ParseError, apply_sequence, find_twins, gnp_graph, is_identifying_code, lex_code_dense,
+    lex_code_sparse, parse_graph, path_graph, to_dimacs, to_edge_list,
+)
 from lexid.cli import main
 from lexid.graph import EdgeError
 
 from calls import python_calls, traced_peak
-from oracles import reference_edge_set, reference_parse_dimacs, reference_parse_edge_list
+from oracles import (
+    neighborhood_sets, reference_edge_set, reference_parse_dimacs, reference_parse_edge_list,
+    reference_serialization,
+)
 
 # Characters str.splitlines() breaks at but graph files do not; all of them are
 # whitespace to str.split().
@@ -353,11 +359,110 @@ def test_from_endpoints_refuses_lists_of_different_lengths():
     assert str(info.value) == "endpoint lists differ in length: 2 and 1"
 
 
-def test_graph_keeps_the_callers_canonical_tuples():
-    pairs = [(u, v) for u in range(1, 40) for v in range(u + 1, 40, 3)]
-    g = Graph(40, pairs)
-    assert len(g.pairs) == len(pairs)
-    assert all(map(operator.is_, g.pairs, pairs))
+def test_graph_keeps_no_second_copy_of_each_edge():
+    # two endpoint lists that point at the caller's ints: no tuple or set per edge
+    pairs = [(u, v) for u in range(1, 400) for v in range(u + 1, 400, 7)]
+    assert len(pairs) >= 10000
+    _, live = traced_peak(lambda: Graph(400, pairs))
+    assert live <= 24 * len(pairs)
+    text = to_edge_list(gnp_graph(512, 0.29, seed=0))
+    _, live = traced_peak(lambda: parse_graph(text))
+    assert live < 2**20
+
+
+def _first_repeat(pairs: list[tuple[int, int]]) -> int | None:
+    """Index of the first pair whose edge came before, in either orientation."""
+    seen = set()
+    for index, (u, v) in enumerate(pairs):
+        if (min(u, v), max(u, v)) in seen:
+            return index
+        seen.add((min(u, v), max(u, v)))
+    return None
+
+
+def _text(n: int, pairs: list[tuple[int, int]], dimacs: bool) -> str:
+    tag = "e " if dimacs else ""
+    head = f"p edge {n} {len(pairs)}" if dimacs else f"{n} {len(pairs)}"
+    return "\n".join([head, *(f"{tag}{u} {v}" for u, v in pairs)]) + "\n"
+
+
+def _builds(n: int, pairs: list[tuple[int, int]]) -> list:
+    """Each way to hand the pairs, in order, to Graph: as given, as two
+    endpoint lists, and as files, an edge list only when every u < v."""
+    builds = [lambda: Graph(n, pairs), lambda: Graph(n, iter(pairs)),
+              lambda: Graph.from_endpoints(n, [u for u, _ in pairs], [v for _, v in pairs]),
+              lambda: parse_graph(_text(n, pairs, True), "dimacs")]
+    if all(u < v for u, v in pairs):
+        builds.append(lambda: parse_graph(_text(n, pairs, False), "edgelist"))
+    return builds
+
+
+@st.composite
+def edge_orders(draw):
+    """(n, edges, copy): a sorted edge set and a copy of it, sorted or
+    shuffled, with some pairs flipped, or with one duplicate put next to its
+    twin or anywhere."""
+    n = draw(st.integers(2, 12))
+    edges = sorted(draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2))), min_size=1)))
+    copy = draw(st.permutations(edges)) if draw(st.booleans()) else list(edges)
+    kind = draw(st.sampled_from(["flip", "twin", "anywhere", "none"]))
+    if kind == "flip":
+        copy = [(v, u) if draw(st.booleans()) else (u, v) for u, v in copy]
+    elif kind != "none":
+        i = draw(st.integers(0, len(copy) - 1))
+        at = i + 1 if kind == "twin" else draw(st.integers(0, len(copy)))
+        copy.insert(at, copy[i][::-1] if draw(st.booleans()) else copy[i])
+    return n, edges, copy
+
+
+@settings(max_examples=150)
+@given(edge_orders())
+def test_the_increasing_check_and_the_duplicate_set_agree(case):
+    n, edges, copy = case
+    repeat = _first_repeat(copy)
+    if repeat is not None:
+        with pytest.raises(ValueError) as want:
+            reference_edge_set(n, copy)
+        for build in _builds(n, copy):
+            with pytest.raises((EdgeError, ParseError)) as info:
+                build()
+            where = info.value.index if isinstance(info.value, EdgeError) else info.value.line - 2
+            assert (str(info.value).removeprefix(f"line {repeat + 2}: "), where) == (str(want.value), repeat)
+        return
+    given_order = tuple((min(u, v), max(u, v)) for u, v in copy)
+    lists = tuple(tuple(sorted(members)) for members in neighborhood_sets(Graph(n, edges)).values())
+    for build in _builds(n, copy):
+        g = build()
+        assert g._increasing == (list(given_order) == edges)
+        assert (g.n, g.edges) == (n, frozenset(edges))
+        assert g.degrees[1:] == tuple(len(members) - 1 for members in lists)
+        assert g.neighborhood_array._lists[1:] == lists
+        assert to_edge_list(g) == reference_serialization(g, dimacs=False)
+        assert to_dimacs(g) == reference_serialization(g, dimacs=True)
+        assert repr(g) == f"Graph(n={n}, pairs={given_order!r})"
+        assert g == Graph(n, edges) and hash(g) == hash((n, frozenset(edges)))
+
+
+def test_nothing_reads_the_pairs_tuple(monkeypatch, tmp_path, capsys):
+    def refuse(self):
+        raise AssertionError("Graph.pairs read")
+
+    monkeypatch.setattr(Graph, "pairs", property(refuse))
+    g = parse_graph(to_edge_list(gnp_graph(40, 0.3, seed=1)))
+    assert find_twins(g) is None
+    assert sum(g.degrees) == 2 * len(g.edges)
+    code = lex_code_sparse(g.neighborhood_array)
+    assert lex_code_dense(g.neighborhood_matrix) == code
+    assert is_identifying_code(g, code)
+    sequence = list(range(g.n, 0, -1))
+    relabeled = apply_sequence(g, sequence)
+    assert parse_graph(to_dimacs(relabeled)) == relabeled
+    assert parse_graph(to_edge_list(Graph(g.n, sorted(g.edges, reverse=True)))) == g
+    path = tmp_path / "g.txt"
+    path.write_text(to_edge_list(g))
+    assert main(["code", "--json", str(path)]) == 0
+    assert main(["gen", "gnp", "30", "0.2", "--seed", "4"]) == 0
+    capsys.readouterr()
 
 
 @st.composite
