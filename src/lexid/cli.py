@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .bench import bench
 from .exact import DEFAULT_EXACT_CAP, greedy_code, minimalize, minimum_code
@@ -216,11 +217,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lexid", description="Lexicographic identifying codes for graphs.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("code", help="construct an identifying code")
+def _code_args(p: argparse.ArgumentParser) -> None:
     _add_graph_arg(p)
     algo = p.add_mutually_exclusive_group()
     algo.add_argument("--dense", action="store_true", help="use the bit-matrix algorithm")
@@ -230,65 +227,86 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", help="processing order for --ordering explicit, e.g. '3,1,2'")
     p.add_argument("--seed", type=int, help=f"seed for random ordering (default: ${ENV_SEED} or 0)")
     p.add_argument("--json", action="store_true", help="emit a JSON object instead of text")
-    p.set_defaults(func=_cmd_code)
 
-    p = sub.add_parser("verify", help="check whether a code identifies the graph")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_graph_arg(p)
     p.add_argument("--code", required=True, help="code members, e.g. '2,3,4,5,6'")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("twins", help="report the first twin pair, if any")
-    _add_graph_arg(p)
-    p.set_defaults(func=_cmd_twins)
 
-    p = sub.add_parser("minimum", help="exact minimum identifying code (small graphs)")
+def _minimum_args(p: argparse.ArgumentParser) -> None:
     _add_graph_arg(p)
     p.add_argument("--max-n", type=int, default=DEFAULT_EXACT_CAP,
                    help=f"refuse graphs larger than this (default: {DEFAULT_EXACT_CAP})")
-    p.set_defaults(func=_cmd_minimum)
 
-    p = sub.add_parser("minimalize", help="shrink an identifying code to a minimal one")
+
+def _minimalize_args(p: argparse.ArgumentParser) -> None:
     _add_graph_arg(p)
     p.add_argument("--code", required=True, help="identifying code to shrink")
-    p.set_defaults(func=_cmd_minimalize)
 
-    p = sub.add_parser("greedy", help="set-cover greedy baseline")
-    _add_graph_arg(p)
-    p.set_defaults(func=_cmd_greedy)
 
-    p = sub.add_parser("gen", help="generate a graph and print it")
+def _gen_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("family", choices=FAMILIES + ("fixture",), help="graph family")
     p.add_argument("params", nargs="*", help="family parameters, e.g. 'grid 3 3' or 'gnp 16 0.3'")
     p.add_argument("--seed", type=int, help=f"seed for gnp (default: ${ENV_SEED} or 0)")
     p.add_argument("--output-format", choices=("edgelist", "dimacs"), default="edgelist",
                    help="output format (default: edgelist)")
     p.add_argument("-o", "--output", help="write to a file instead of standard output")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("restarts", help="random-restart search for a small code")
+
+def _restarts_args(p: argparse.ArgumentParser) -> None:
     _add_graph_arg(p)
     p.add_argument("--restarts", type=int, default=100, help="number of restarts (default: 100)")
     p.add_argument("--ordering", choices=STRATEGY_KINDS, default="random",
                    help="ordering strategy per restart (default: random)")
     p.add_argument("--perm", help="processing order for --ordering explicit")
     p.add_argument("--seed", type=int, help=f"master seed (default: ${ENV_SEED} or 0)")
-    p.set_defaults(func=_cmd_restarts)
 
-    p = sub.add_parser("bench", help="benchmark both constructors; emits CSV")
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--families", default="grid", help="comma-separated families (default: grid)")
     p.add_argument("--sizes", default="256,512,1024", help="comma-separated sizes (default: 256,512,1024)")
     p.add_argument("--reps", type=int, default=3, help="timing repetitions per instance (default: 3)")
     p.add_argument("--seed", type=int, help=f"seed for gnp instances (default: ${ENV_SEED} or 0)")
     p.add_argument("--gnp-p", type=float, default=0.3, help="edge probability for gnp (default: 0.3)")
     p.add_argument("-o", "--output", help="write CSV to a file instead of standard output")
-    p.set_defaults(func=_cmd_bench)
 
+
+# name -> (help line, adds the arguments, runs the command), in the order `lexid --help` lists them
+_AddArguments = Callable[[argparse.ArgumentParser], None]
+COMMANDS: dict[str, tuple[str, _AddArguments, Callable[[argparse.Namespace], int]]] = {
+    "code": ("construct an identifying code", _code_args, _cmd_code),
+    "verify": ("check whether a code identifies the graph", _verify_args, _cmd_verify),
+    "twins": ("report the first twin pair, if any", _add_graph_arg, _cmd_twins),
+    "minimum": ("exact minimum identifying code (small graphs)", _minimum_args, _cmd_minimum),
+    "minimalize": ("shrink an identifying code to a minimal one", _minimalize_args, _cmd_minimalize),
+    "greedy": ("set-cover greedy baseline", _add_graph_arg, _cmd_greedy),
+    "gen": ("generate a graph and print it", _gen_args, _cmd_gen),
+    "restarts": ("random-restart search for a small code", _restarts_args, _cmd_restarts),
+    "bench": ("benchmark both constructors; emits CSV", _bench_args, _cmd_bench),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `lexid` parser with the subparser of `command` alone if it names
+    one, else with every subparser.  A usage error or help text of the one
+    command is the same either way."""
+    parser = _Parser(prog="lexid", description="Lexicographic identifying codes for graphs.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in (command,) if command in COMMANDS else COMMANDS:
+        help_line, add_arguments, run = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the parser of the subcommand that runs, not all nine: on a small graph
+    # the full tree takes longer to build than the command's verify
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # A command allocates millions of tuples and lists that never form a cycle;
     # the cyclic collector would walk them all, so it pauses for the command.
     collecting = gc.isenabled()

@@ -336,7 +336,9 @@ def _checked_pairs(n: int, us: list[int], vs: list[int], pairs: Sequence[tuple] 
     if not oriented and not all(map(lt, us, vs)):
         if any(map(eq, us, vs)):
             return None
-        us, vs, pairs = list(map(min, us, vs)), list(map(max, us, vs)), None
+        # one comprehension per list: a min() or max() call per pair costs ~4x its comparison
+        us, vs, pairs = ([u if u < v else v for u, v in zip(us, vs)],
+                         [v if u < v else u for u, v in zip(us, vs)], None)
     if us and (min(us) < 1 or max(vs) > n):
         return None
     ordered, later = (zip(us, vs), zip(us, vs)) if pairs is None else (pairs, iter(pairs))

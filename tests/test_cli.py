@@ -1,9 +1,11 @@
+import argparse
 import csv
 import gc
 import io
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -588,6 +590,85 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "lexid: error: out of memory\n"
+
+
+# every subcommand, in the order `lexid --help` lists them
+COMMAND_NAMES = ["code", "verify", "twins", "minimum", "minimalize", "greedy", "gen", "restarts", "bench"]
+
+
+def _exit_outcome(parse, argv, capsys):
+    """(stdout, stderr, exit status) of a call that ends in SystemExit, as help and usage errors do."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    return (*capsys.readouterr(), info.value.code)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([name, "--help"] for name in COMMAND_NAMES),
+    [],
+    ["nosuch"],
+    ["code", "FILE", "extra"],  # the top-level parser reports the extra argument
+    ["code", "--dense", "--sparse", "FILE"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_match_the_full_parser(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _exit_outcome(lexid.cli.build_parser().parse_args, argv, capsys)
+    assert _exit_outcome(main, argv, capsys) == full
+    out, err, status = full
+    if "--help" in argv:
+        assert (err, status) == ("", 0) and out.startswith("usage: lexid")
+    else:
+        assert (out, status) == ("", 1) and err.startswith("usage: lexid")
+
+
+class TestSubparsersBuilt:
+    """A call builds the parser of its subcommand alone; one that names none builds them all."""
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        return names
+
+    @pytest.mark.parametrize("argv, out", [
+        (["code", "--json", "P3"], None),
+        (["code", "--dense", "P3"], "1 3\n2\n"),
+        (["twins", "P3"], "twin-free\n"),
+        (["gen", "path", "2"], "2 1\n1 2\n"),
+    ])
+    def test_a_command_builds_one_subparser(self, added, argv, out, p3_file, capsys):
+        assert main([p3_file if a == "P3" else a for a in argv]) == 0
+        assert out is None or capsys.readouterr().out == out
+        assert added == [argv[0]]
+
+    def test_the_console_script_builds_one_subparser(self, added, p3_file, monkeypatch, capsys):
+        # the `lexid` entry point calls main() with no argv, which reads sys.argv
+        monkeypatch.setattr(sys, "argv", ["lexid", "code", "--json", p3_file])
+        assert main() == 0
+        assert json.loads(capsys.readouterr().out)["code"] == [1, 3]
+        assert added == ["code"]
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["nosuch"], ["-x", "code"]],
+                             ids=lambda argv: " ".join(argv) or "no-arguments")
+    @pytest.mark.parametrize("from_sys_argv", [False, True])
+    def test_no_command_builds_them_all(self, added, argv, from_sys_argv, monkeypatch, capsys):
+        if from_sys_argv:
+            monkeypatch.setattr(sys, "argv", ["lexid", *argv])
+        with pytest.raises(SystemExit):
+            main(None if from_sys_argv else argv)
+        assert added == COMMAND_NAMES
+
+    def test_build_parser_builds_them_all(self, added):
+        parser = lexid.cli.build_parser()
+        assert added == COMMAND_NAMES
+        assert list(parser._subparsers._group_actions[0].choices) == COMMAND_NAMES
 
 
 class TestCollectorPause:

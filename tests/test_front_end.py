@@ -443,6 +443,32 @@ def test_the_increasing_check_and_the_duplicate_set_agree(case):
         assert g == Graph(n, edges) and hash(g) == hash((n, frozenset(edges)))
 
 
+@pytest.mark.parametrize("fault", [None, "duplicate", "self-loop", "range"])
+def test_every_pair_reversed_builds_what_the_forward_pairs_build(fault):
+    # the orientation pass runs on every pair: a DIMACS file of 'e v u' lines
+    # and Graph given (v, u) pairs
+    n = 60
+    forward = list(gnp_graph(n, 0.2, seed=5).pairs)
+    at = len(forward) // 2
+    forward.insert(at, {None: (n - 1, n), "duplicate": forward[7], "self-loop": (9, 9), "range": (3, n + 1)}[fault])
+    reversed_pairs = [(v, u) for u, v in forward]
+    outcomes = []
+    for pairs in (forward, reversed_pairs):
+        for build in _builds(n, pairs)[:4]:  # the edge-list format refuses u > v, so no edge-list file
+            try:
+                g = build()
+            except (EdgeError, ParseError) as exc:
+                where = exc.index if isinstance(exc, EdgeError) else exc.line - 2
+                outcomes.append((type(exc), where, str(exc) if fault != "range" else None))
+            else:
+                outcomes.append((g.n, g.pairs, g._increasing))
+    assert outcomes == outcomes[:4] * 2
+    if fault is None:
+        assert outcomes[0][1] == tuple(forward)
+    else:
+        assert [where for _, where, _ in outcomes] == [at] * 8
+
+
 def test_nothing_reads_the_pairs_tuple(monkeypatch, tmp_path, capsys):
     def refuse(self):
         raise AssertionError("Graph.pairs read")
