@@ -116,10 +116,8 @@ def _cmd_code(args: argparse.Namespace) -> int:
     array = g.neighborhood_array
     identity = strategy.kind == "identity"
     sequence = range(1, g.n + 1) if identity else strategy.sequence_for(g, SplitMix64(seed))
-    if algorithm == "dense":
-        outcome = lex_code_dense(ClosedNeighborhoodMatrix(array if identity else array.relabel(sequence)))
-    else:
-        outcome = lex_code_sparse(array, None if identity else sequence)
+    construct, view = (lex_code_dense, ClosedNeighborhoodMatrix(array)) if args.dense else (lex_code_sparse, array)
+    outcome = construct(view, None if identity else sequence)
     header = {"schema": 1, "n": g.n, "algorithm": algorithm, "ordering": strategy.kind}
     if isinstance(outcome, TwinFailure):
         pair = tuple(sorted((sequence[outcome.k - 1], sequence[outcome.j - 1])))

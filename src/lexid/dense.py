@@ -5,15 +5,17 @@ The scan keeps its own coverage rows, tuples of codewords, and reads the
 vertices a codeword covers from the sorted lists the matrix was derived from
 (the matrix is symmetric), so a run holds the n²-bit matrix plus
 O(n + Σ_{c∈C}(deg c + 1)).  The model tally still charges the paper's
-whole-row tests and its copy of a whole matrix column.  The constructor scans
-in index order.
+whole-row tests and its copy of a whole matrix column.  Given a processing
+order, the separation is the smallest position among the set bits of the two
+rows' difference, so no matrix in that order is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import ClosedNeighborhoodMatrix, RunOutcome
+from .graph import ClosedNeighborhoodMatrix, RunOutcome, _positions
 from .scan import lex_scan
 
 
@@ -55,6 +57,7 @@ def min2(b: ClosedNeighborhoodMatrix, j: int, k: int) -> int:
 
 def lex_code_dense(
     b: ClosedNeighborhoodMatrix,
+    sequence: Sequence[int] | None = None,
     *,
     tally: DenseWorkTally | None = None,
 ) -> RunOutcome:
@@ -62,11 +65,34 @@ def lex_code_dense(
 
     On twin-free input the returned Code is identifying.  On input with twins
     the run stops at the first vertex j whose closed neighborhood duplicates
-    an earlier k and returns TwinFailure(j, k).  tally, if given, accumulates
-    the model bit-operation cost.
+    an earlier k and returns TwinFailure(j, k).  sequence, if given, is the
+    processing order, as for lex_code_sparse: the run and its tally are those
+    of the graph relabeled by it, with codewords and twins given by position.
+    tally, if given, accumulates the model bit-operation cost.
     """
     n = b.n
     rows_b = b._rows  # rows_b[0] = 0 is the empty row the scan's sentinel needs
+
+    if sequence is None:
+        order = position = list(range(n + 1))
+
+        def separate(j: int, k: int) -> int:
+            return _lowest_difference(rows_b[j], rows_b[k], n)
+    else:
+        position = _positions(sequence, n)
+        order = [0, *sequence]
+
+        def separate(j: int, k: int) -> int:
+            # bit u - 1 stands for vertex u: keep the smallest position[u] set
+            diff = rows_b[order[j]] ^ rows_b[order[k]]
+            l = n + 1
+            while diff:
+                low = diff & -diff
+                diff ^= low
+                p = position[low.bit_length()]
+                if p < l:  # a comparison, not min(): half the time of the loop
+                    l = p
+            return l
 
     charge = None
     if tally is not None:
@@ -77,11 +103,4 @@ def lex_code_dense(
                 tally.scan_bits += min(l, n)  # finding twins scans all n positions
                 tally.column_copy_bits += n if l <= n else 0
 
-    identity = list(range(n + 1))
-    return lex_scan(
-        lambda j, k: _lowest_difference(rows_b[j], rows_b[k], n),
-        b._lists,
-        identity,
-        identity,
-        charge=charge,
-    )
+    return lex_scan(separate, b._lists, order, position, charge=charge)

@@ -208,18 +208,6 @@ class NeighborhoodArray:
             raise ValueError(f"vertex {j} out of range 1..{self.n}")
         return self._lists[j]
 
-    def relabel(self, sequence: Sequence[int]) -> NeighborhoodArray:
-        """The array after sequence[i-1] becomes vertex i, in O(n + m) with no sort.
-
-        Old vertex u gathers, in order, each w with u in N(sequence[w-1]): by symmetry, its new list.
-        """
-        _positions(sequence, self.n)
-        lists: list[list[int]] = [[] for _ in range(self.n + 1)]  # by old vertex
-        for w, v in enumerate(sequence, 1):
-            for u in self._lists[v]:
-                lists[u].append(w)
-        return NeighborhoodArray(self.n, tuple(tuple(lists[v]) for v in (0, *sequence)))
-
 
 @dataclass(frozen=True)
 class Code:

@@ -1,10 +1,9 @@
 """Vertex-ordering strategies and the processing sequences they yield.
 
-A strategy yields a processing sequence (position -> original vertex).  The
-sparse constructor scans the graph in that order directly and names its
-codewords by position; the dense constructor processes vertices by index, so
-there an ordering means relabeling the graph.  Helpers apply a sequence to a
-graph and map codes given by position back to original labels.
+A strategy yields a processing sequence (position -> original vertex).  Both
+constructors scan the graph in that order directly and name their codewords
+by position.  Helpers apply a sequence to a graph and map codes given by
+position back to original labels.
 """
 
 from __future__ import annotations

@@ -46,27 +46,20 @@ class SparseWorkTally:
         )
 
 
-def _min3_walk(lj: tuple[int, ...], lk: tuple[int, ...], n: int) -> tuple[int, int]:
-    """Return (result, positions walked) for the synchronized list walk.
+def _min3_walk(lj: tuple[int, ...], lk: tuple[int, ...], n: int) -> int:
+    """Return the result of the synchronized list walk.
 
     Walks the two sorted lists together and stops at the first divergence,
     returning the smaller element there.  If one list is a prefix of the
     other, the longer list's next element is the answer; if the lists are
     equal the result is the failure value n+1.
     """
-    m = min(len(lj), len(lk))
-    i = 0
-    while i < m:
-        a = lj[i]
-        c = lk[i]
+    for a, c in zip(lj, lk):
         if a != c:
-            return (a if a < c else c), i + 1
-        i += 1
-    if len(lj) < len(lk):
-        return lk[m], m
-    if len(lk) < len(lj):
-        return lj[m], m
-    return n + 1, m
+            return a if a < c else c
+    m = min(len(lj), len(lk))
+    longer = lj if len(lj) > m else lk
+    return longer[m] if len(longer) > m else n + 1
 
 
 def min3(a: NeighborhoodArray, j: int, k: int) -> int:
@@ -76,7 +69,7 @@ def min3(a: NeighborhoodArray, j: int, k: int) -> int:
     """
     if j == k:
         raise ValueError(f"min3 requires distinct vertices, got j = k = {j}")
-    return _min3_walk(a.neighborhood(j), a.neighborhood(k), a.n)[0]
+    return _min3_walk(a.neighborhood(j), a.neighborhood(k), a.n)
 
 
 def lex_code_sparse(
@@ -88,12 +81,12 @@ def lex_code_sparse(
     """Build the lexicographic code of the graph behind a, or report twins.
 
     Produces the same Code or TwinFailure as lex_code_dense on the same graph
-    and vertex order.  sequence, if given, is the processing order: the run
-    returns exactly what lex_code_sparse(a.relabel(sequence)) returns, with
-    codewords and twins given by position, but builds no relabeled array.
-    tally, if given, accumulates the model element-touch cost of the walks
-    over sorted lists, so it takes no sequence (ValueError); a sequence that
-    is not a permutation of 1..n raises the ValueError relabel raises.
+    and processing order.  sequence, if given, is the processing order: the
+    run and its tally are exactly those of the graph relabeled by it
+    (orderings.apply_sequence), with codewords and twins given by position,
+    but no relabeled array is built; a sequence that is not a permutation of
+    1..n raises ValueError.  tally, if given, accumulates the model
+    element-touch cost of the walks over sorted lists.
     """
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
@@ -103,10 +96,8 @@ def lex_code_sparse(
 
         def separate(j: int, k: int) -> int:
             # the head of the sorted N(v_j), or the walk's first difference when k > 0
-            return _min3_walk(lists[j], lists[k], n)[0] if k else lists[j][0]
+            return _min3_walk(lists[j], lists[k], n) if k else lists[j][0]
     else:
-        if tally is not None:
-            raise ValueError("tally counts the relabeled run: pass a.relabel(sequence) instead of sequence")
         position = _positions(sequence, n)
         order = [0, *sequence]
         rank = position.__getitem__
@@ -125,7 +116,7 @@ def lex_code_sparse(
 
     charge = None
     if tally is not None:
-        covers = [0] * (n + 1)  # covers[v] = |N(v) ∩ C|, the length of the row of v
+        covers = [0] * (n + 1)  # covers[i] = |N(v_i) ∩ C|, the length of the row at position i
 
         def charge(j: int, k: int, l: int) -> None:
             tally.empty_check_touches += 1
@@ -134,11 +125,14 @@ def lex_code_sparse(
             lj = covers[j]
             tally.comparison_touches += tried + lj * covers[1 : tried + 1].count(lj)
             if l:
-                # reading the head of N(v_j) for an uncovered vertex (k = 0) is one touch
-                tally.scan_touches += 2 * _min3_walk(lists[j], lists[k], n)[1] or 1
+                # the walk passes the members of N(v_j) below l, then one more unless a
+                # list ends; reading the head of N(v_j) when k = 0 (an empty list) is one touch
+                members = lists[order[j]]
+                walked = min(sum(position[u] < l for u in members) + 1, len(members), len(lists[order[k]]))
+                tally.scan_touches += 2 * walked or 1
                 if l <= n:
-                    tally.insert_touches += len(lists[l])
-                    for a in lists[l]:
-                        covers[a] += 1
+                    tally.insert_touches += len(lists[order[l]])
+                    for u in lists[order[l]]:
+                        covers[position[u]] += 1
 
     return lex_scan(separate, lists, order, position, charge=charge)

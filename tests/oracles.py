@@ -2,14 +2,17 @@
 
 Everything here works on plain frozensets built straight from the edge set
 (the minimalization reference packs them into bitsets of its own),
-deliberately sharing no code with the package's views.
+deliberately sharing no code with the package's views.  The one exception
+is relabeled_array, which builds the relabeled NeighborhoodArray that a run
+in a processing order is checked against.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from lexid import Code, Graph, ParseError, SplitMix64
+from lexid import Code, Graph, NeighborhoodArray, ParseError, SplitMix64
+from lexid.graph import _positions
 
 
 def tagged(outcome):
@@ -25,6 +28,20 @@ def neighborhood_sets(g: Graph) -> dict[int, frozenset[int]]:
         nbhd[u].add(v)
         nbhd[v].add(u)
     return {v: frozenset(s) for v, s in nbhd.items()}
+
+
+def relabeled_array(a: NeighborhoodArray, sequence) -> NeighborhoodArray:
+    """The array after sequence[i-1] becomes vertex i, in O(n + m) with no sort;
+    ValueError, as apply_sequence raises it, unless sequence is a permutation.
+
+    Old vertex u gathers, in order, each w with u in N(sequence[w-1]): by symmetry, its new list.
+    """
+    _positions(sequence, a.n)
+    lists: list[list[int]] = [[] for _ in range(a.n + 1)]  # by old vertex
+    for w, v in enumerate(sequence, 1):
+        for u in a._lists[v]:
+            lists[u].append(w)
+    return NeighborhoodArray(a.n, tuple(tuple(lists[v]) for v in (0, *sequence)))
 
 
 def brute_find_twins(g: Graph) -> tuple[int, int] | None:

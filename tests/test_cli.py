@@ -15,9 +15,12 @@ from lexid import (
     ClosedNeighborhoodMatrix,
     OrderingStrategy,
     SplitMix64,
+    apply_sequence,
     code_to_original,
     derive_seed,
     gnp_graph,
+    grid_graph,
+    lex_code_dense,
     lex_code_sparse,
     nonminimal_grid_fixture,
     parse_edge_list,
@@ -27,6 +30,9 @@ from lexid import (
     to_edge_list,
 )
 from lexid.cli import main
+
+from calls import traced_peak
+from oracles import relabeled_array
 
 
 @pytest.fixture
@@ -370,7 +376,7 @@ class TestRestartsCommand:
         for i in range(200):
             restart_seed = derive_seed(0, i)
             sequence = OrderingStrategy("random").sequence_for(g, SplitMix64(restart_seed))
-            outcome = lex_code_sparse(g.neighborhood_array.relabel(sequence))
+            outcome = lex_code_sparse(relabeled_array(g.neighborhood_array, sequence))
             if best is None or len(outcome) < len(best):
                 best = code_to_original(outcome, sequence)
             lines.append(f"restart {i}: seed={restart_seed} cardinality={len(outcome)} seconds=*")
@@ -519,6 +525,17 @@ class TestMatrixBuilds:
         assert main(["code", "--dense", "--ordering", "random", "--seed", "3", fixture_file]) == 0
         assert capsys.readouterr().out == "3 4 5 6 8 9\n6\n"
         assert len(built) == 1  # the counter does see a build
+
+    def test_an_ordered_dense_run_holds_no_second_matrix(self):
+        # a second row set, in processing order, would add a whole matrix: n²/8 bytes
+        g = grid_graph(64, 64)
+        relabeling, sequence = list(range(1, g.n + 1)), list(range(1, g.n + 1))
+        SplitMix64(derive_seed(0, g.n)).shuffle(relabeling)
+        SplitMix64(derive_seed(1, g.n)).shuffle(sequence)
+        b = apply_sequence(g, relabeling).neighborhood_matrix
+        identity_peak, _ = traced_peak(lambda: lex_code_dense(b))
+        ordered_peak, _ = traced_peak(lambda: lex_code_dense(b, sequence))
+        assert ordered_peak <= identity_peak + g.n * g.n // 16
 
 
 class TestBrokenPipe:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import lexid.restarts
 import lexid.rng
 from lexid import (
+    ClosedNeighborhoodMatrix,
     Code,
     Graph,
     NeighborhoodArray,
@@ -25,11 +26,13 @@ from lexid import (
     path_graph,
     prefix_sequence,
     run_restarts,
+    to_edge_list,
 )
+from lexid.cli import main
 
 from corpus import graphs, twin_free_corpus
 from lexid.rng import MAX_LANES
-from oracles import GAMMA, reference_shuffle, seed_for_output
+from oracles import GAMMA, reference_shuffle, relabeled_array, seed_for_output
 
 
 class CountingSplitMix64(SplitMix64):
@@ -339,29 +342,43 @@ class TestRunRestarts:
         apply_sequence(g, list(range(1, g.n + 1)))
         assert len(builds) == 1  # the patch does see a rebuild
 
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The names of the view builds and graph relabelings made, in order."""
+        calls = []
+        for owner, name in ((NeighborhoodArray, "__init__"), (ClosedNeighborhoodMatrix, "__init__"),
+                            (Graph, "_relabeled")):
+            def counting(self, *args, _method=getattr(owner, name), _name=f"{owner.__name__}.{name}"):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
     @pytest.mark.parametrize("strategy", ["random", "identity", "degree-asc", "degree-desc", (9, 8, 7, 6, 5, 4, 3, 2, 1)])
-    def test_restarts_relabel_nothing(self, monkeypatch, strategy):
+    def test_restarts_relabel_nothing(self, builds, strategy):
         g = nonminimal_grid_fixture()
-        relabels = []
-        relabel = NeighborhoodArray.relabel
-
-        def counting_relabel(self, sequence):
-            relabels.append(sequence)
-            return relabel(self, sequence)
-
-        monkeypatch.setattr(NeighborhoodArray, "relabel", counting_relabel)
         report = run_restarts(g, strategy, restarts=20)
         assert len(report.cardinalities) == 20
-        assert relabels == []
-        g.neighborhood_array.relabel(list(range(1, g.n + 1)))
-        assert len(relabels) == 1  # the patch does see a relabel
+        assert builds == ["NeighborhoodArray.__init__"]
+        apply_sequence(g, list(range(1, g.n + 1)))
+        assert builds[1:] == ["Graph._relabeled"]  # the patch does see a relabel
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_an_ordered_code_run_relabels_nothing(self, builds, dense, tmp_path, capsys):
+        path = tmp_path / "fixture.txt"
+        path.write_text(to_edge_list(nonminimal_grid_fixture()))
+        assert main(["code", *["--dense"] * dense, "--ordering", "random", "--seed", "3", str(path)]) == 0
+        assert capsys.readouterr() == ("3 4 5 6 8 9\n6\n", "")
+        # the one array, the matrix derived from it under --dense, and no relabeled graph
+        assert builds == ["NeighborhoodArray.__init__"] + ["ClosedNeighborhoodMatrix.__init__"] * dense
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_n=12), st.sampled_from(["random", "degree-asc", "degree-desc"]), st.integers(0, 2**64 - 1))
     def test_an_ordered_scan_matches_the_relabeled_run(self, g, strategy, seed):
         sequence = OrderingStrategy(strategy).sequence_for(g, SplitMix64(seed))
         a = g.neighborhood_array
-        assert lex_code_sparse(a, sequence) == lex_code_sparse(a.relabel(sequence))
+        assert lex_code_sparse(a, sequence) == lex_code_sparse(relabeled_array(a, sequence))
 
     def test_maps_back_only_on_a_strict_improvement(self, monkeypatch):
         # only the batch's first strictly smallest code is mapped back, once
@@ -386,7 +403,7 @@ class TestRunRestarts:
         codes = []
         for i in tied:
             sequence = OrderingStrategy("random").sequence_for(g, SplitMix64(derive_seed(0, i)))
-            outcome = lex_code_sparse(g.neighborhood_array.relabel(sequence))
+            outcome = lex_code_sparse(relabeled_array(g.neighborhood_array, sequence))
             codes.append(code_to_original(outcome, sequence))
         assert len(set(codes)) > 1
         assert report.best_code == codes[0]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexid import (
+    ClosedNeighborhoodMatrix,
     Code,
     Graph,
     TwinFailure,
@@ -24,7 +25,7 @@ from lexid.sparse import SparseWorkTally
 
 from calls import scan_steps
 from corpus import full_corpus, graphs, graphs_with_twins, small_corpus, twin_free_corpus, twin_free_graphs
-from oracles import brute_min_sym_diff, neighborhood_sets, reference_sparse_tally, tagged
+from oracles import brute_min_sym_diff, neighborhood_sets, reference_sparse_tally, relabeled_array, tagged
 
 with_and_without_twins = pytest.mark.parametrize(
     "kind", [twin_free_graphs(max_n=12), graphs_with_twins(max_n=12)], ids=["twin-free", "twins"]
@@ -187,17 +188,25 @@ def shuffled(n, rnd):
 
 
 class TestProcessingOrder:
-    """lex_code_sparse(a, sequence) against the run on a.relabel(sequence)."""
+    """Both constructors under sequence= against the run on the relabeled view."""
 
     def assert_same_run(self, g, sequence):
         a = g.neighborhood_array
-        relabeled = a.relabel(sequence)
-        assert lex_code_sparse(a, sequence=sequence) == lex_code_sparse(relabeled)
-        assert scan_steps(lex_code_sparse, a, sequence=sequence) == scan_steps(lex_code_sparse, relabeled)
+        relabeled = relabeled_array(a, sequence)
+        for construct, view, reference, tally in (
+            (lex_code_sparse, a, relabeled, SparseWorkTally),
+            (lex_code_dense, ClosedNeighborhoodMatrix(a), ClosedNeighborhoodMatrix(relabeled), DenseWorkTally),
+        ):
+            got, expected = tally(), tally()
+            assert construct(view, sequence=sequence) == construct(reference)
+            assert (scan_steps(construct, view, sequence=sequence, tally=got)
+                    == scan_steps(construct, reference, tally=expected))
+            assert got == expected
 
     @given(graphs(max_n=12), st.randoms(use_true_random=False))
     @settings(max_examples=300)
     def test_matches_the_relabeled_run(self, g, rnd):
+        # about half of these graphs have twins
         self.assert_same_run(g, shuffled(g.n, rnd))
 
     def test_matches_the_relabeled_run_on_the_corpora(self):
@@ -211,21 +220,18 @@ class TestProcessingOrder:
     def test_twins_are_reported_by_position(self):
         g = Graph(4, [(1, 2), (3, 4)])  # twins {1, 2} and {3, 4}
         assert lex_code_sparse(g.neighborhood_array, [3, 1, 4, 2]) == TwinFailure(j=3, k=1)
+        assert lex_code_dense(g.neighborhood_matrix, [3, 1, 4, 2]) == TwinFailure(j=3, k=1)
 
     @pytest.mark.parametrize(
         "bad", [[1, 2], [1, 1, 2], [0, 1, 2], [1, 2, 4], [True, 2, 3], [1.0, 2, 3], [1, 2, 3, 4], []]
     )
     def test_rejects_a_non_permutation_like_relabel(self, bad):
-        a = path_graph(3).neighborhood_array
+        g = path_graph(3)
         with pytest.raises(ValueError) as expected:
-            a.relabel(bad)
-        with pytest.raises(ValueError) as got:
-            lex_code_sparse(a, bad)
-        assert str(got.value) == str(expected.value) == f"not a permutation of 1..3: {tuple(bad)!r}"
-
-    def test_takes_no_tally(self):
-        a = nonminimal_grid_fixture().neighborhood_array
-        tally = SparseWorkTally()
-        with pytest.raises(ValueError, match="relabel"):
-            lex_code_sparse(a, list(range(9, 0, -1)), tally=tally)
-        assert tally == SparseWorkTally()
+            relabeled_array(g.neighborhood_array, bad)
+        with pytest.raises(ValueError) as sparse_got:
+            lex_code_sparse(g.neighborhood_array, bad, tally=SparseWorkTally())
+        with pytest.raises(ValueError) as dense_got:
+            lex_code_dense(g.neighborhood_matrix, bad, tally=DenseWorkTally())
+        assert (str(sparse_got.value) == str(dense_got.value) == str(expected.value)
+                == f"not a permutation of 1..3: {tuple(bad)!r}")
