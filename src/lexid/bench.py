@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .dense import DenseWorkTally, lex_code_dense
 from .generate import sized_instance
 from .graph import find_twins
-from .orderings import apply_sequence
+from .orderings import OrderingStrategy, apply_sequence
 from .rng import SplitMix64, derive_seed
 from .sparse import SparseWorkTally, lex_code_sparse
 
@@ -143,8 +143,7 @@ def bench(
             if twins is not None:
                 skipped.append((family, size, f"twins {twins[0]} {twins[1]}"))
                 continue
-            sequence = list(range(1, g.n + 1))
-            SplitMix64(derive_seed(seed, g.n)).shuffle(sequence)
+            sequence = OrderingStrategy("random").sequence_for(g, SplitMix64(derive_seed(seed, g.n)))
             # runs in index order on the relabeled graph are faster than in-order scans
             relabeled = apply_sequence(g, sequence)
             array, matrix = relabeled.neighborhood_array, relabeled.neighborhood_matrix

@@ -113,11 +113,12 @@ def _cmd_code(args: argparse.Namespace) -> int:
     algorithm = "dense" if args.dense else "sparse"
     strategy = _strategy_from_args(args)
     seed = _seed(args)  # read under every ordering, so a bad LEXID_SEED fails any code run
-    array = g.neighborhood_array
     identity = strategy.kind == "identity"
     sequence = range(1, g.n + 1) if identity else strategy.sequence_for(g, SplitMix64(seed))
-    construct, view = (lex_code_dense, ClosedNeighborhoodMatrix(array)) if args.dense else (lex_code_sparse, array)
-    outcome = construct(view, None if identity else sequence)
+    if algorithm == "dense":
+        outcome = lex_code_dense(ClosedNeighborhoodMatrix(g.neighborhood_array), None if identity else sequence)
+    else:
+        outcome = lex_code_sparse(g.neighborhood_array, None if identity else sequence)
     header = {"schema": 1, "n": g.n, "algorithm": algorithm, "ordering": strategy.kind}
     if isinstance(outcome, TwinFailure):
         pair = tuple(sorted((sequence[outcome.k - 1], sequence[outcome.j - 1])))

@@ -43,10 +43,8 @@ def minimum_code(g: Graph, max_vertices: int = DEFAULT_EXACT_CAP) -> MinimumResu
     n = g.n
     bits = [1 << (v - 1) for v in range(1, n + 1)]
     # any identifying code C yields n distinct non-empty subsets of C,
-    # so 2^|C| - 1 >= n; smaller cardinalities cannot succeed
-    lower = 1
-    while (1 << lower) - 1 < n:
-        lower += 1
+    # so 2^|C| > n, i.e. |C| >= n.bit_length(); smaller cardinalities cannot succeed
+    lower = n.bit_length()
     for cardinality in range(lower, n + 1):
         for combo in combinations(bits, cardinality):
             cmask = sum(combo)

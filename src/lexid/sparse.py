@@ -128,7 +128,8 @@ def lex_code_sparse(
                 # the walk passes the members of N(v_j) below l, then one more unless a
                 # list ends; reading the head of N(v_j) when k = 0 (an empty list) is one touch
                 members = lists[order[j]]
-                walked = min(sum(position[u] < l for u in members) + 1, len(members), len(lists[order[k]]))
+                below = sum(position[u] < l for u in members)
+                walked = min(below + 1, len(members), len(lists[order[k]]))
                 tally.scan_touches += 2 * walked or 1
                 if l <= n:
                     tally.insert_touches += len(lists[order[l]])
