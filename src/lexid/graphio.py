@@ -46,7 +46,7 @@ class ParseError(ValueError):
 
 def _normalized(text: str) -> str:
     """The text with every CRLF and CR made an LF; the text itself if it has no CR."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _lines(text: str):

@@ -4,10 +4,10 @@ Each restart runs the sparse constructor on the graph's one neighborhood
 array, scanning it in the restart's processing order: no relabeled array and
 no new Graph is built.  Under the random ordering, restart i draws its order
 from a generator seeded with derive_seed(seed, i), so reports are
-reproducible and the first r restarts never depend on the total count; every
-other ordering gives all restarts one order and so one code, which is
-constructed once and repeated for every index.  The caller derives the
-reported seeds itself.
+reproducible and the first r restarts never depend on the total count; its
+shuffle is a permutation, so it skips lex_code_sparse's sequence check.  Every
+other ordering gives all restarts one order and so one code, which is checked
+and constructed once and repeated for every index.
 
 Every restart runs in the calling process, one after another.  A run names
 its codewords by position, so the loop keeps the first strictly smallest code
@@ -24,7 +24,7 @@ from typing import Sequence
 from .graph import Code, Graph, TwinsError, find_twins
 from .orderings import OrderingStrategy, as_strategy, code_to_original
 from .rng import SplitMix64, derive_seed
-from .sparse import lex_code_sparse
+from .sparse import _run, lex_code_sparse
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,22 @@ def run_restarts(
         raise TwinsError(twins)
     array = g.neighborhood_array
     fixed = None if strategy.kind == "random" else strategy.sequence_for(g)
+    seeds = [derive_seed(seed, i) for i in range(restarts)]
 
     best_by_position: Code | None = None  # the first strictly smallest code, before map-back
     best_sequence: list[int] = []
     cardinalities: list[int] = []
     elapsed: list[float] = []
-    for i in range(restarts if fixed is None else 1):
+    for child in seeds if fixed is None else seeds[:1]:
         start = time.perf_counter()
-        sequence = fixed or strategy.sequence_for(g, SplitMix64(derive_seed(seed, i)))
-        outcome = lex_code_sparse(array, sequence)
+        sequence = fixed or strategy.sequence_for(g, SplitMix64(child))
+        if fixed is None:  # a shuffle of 1..n is a permutation, so its inverse is built unchecked
+            position = [0] * (g.n + 1)
+            for p, v in enumerate(sequence, 1):
+                position[v] = p
+            outcome = _run(array, [0, *sequence], position)
+        else:
+            outcome = lex_code_sparse(array, sequence)
         assert isinstance(outcome, Code)  # twin-freeness is permutation-invariant
         if best_by_position is None or len(outcome) < len(best_by_position):
             best_by_position, best_sequence = outcome, sequence  # ties keep the first
@@ -84,6 +91,6 @@ def run_restarts(
         best_code=best_code,
         best_cardinality=best_code.cardinality,
         cardinalities=tuple(cardinalities),
-        seeds=tuple(derive_seed(seed, i) for i in range(restarts)),
+        seeds=tuple(seeds),
         elapsed_seconds=tuple(elapsed),
     )

@@ -88,18 +88,24 @@ def lex_code_sparse(
     1..n raises ValueError.  tally, if given, accumulates the model
     element-touch cost of the walks over sorted lists.
     """
+    if sequence is None:
+        return _run(a, None, None, tally)
+    return _run(a, [0, *sequence], _positions(sequence, a.n), tally)
+
+
+def _run(a: NeighborhoodArray, order: list[int] | None, position: list[int] | None,
+         tally: SparseWorkTally | None = None) -> RunOutcome:
+    """lex_code_sparse in the order order[1:], inverse position (None: identity), unchecked."""
     n = a.n
     lists = a._lists  # lists[0] = () is the empty list the scan's sentinel needs
 
-    if sequence is None:
+    if order is None:
         order = position = list(range(n + 1))
 
         def separate(j: int, k: int) -> int:
             # the head of the sorted N(v_j), or the walk's first difference when k > 0
             return _min3_walk(lists[j], lists[k], n) if k else lists[j][0]
     else:
-        position = _positions(sequence, n)
-        order = [0, *sequence]
         rank = position.__getitem__
 
         def separate(j: int, k: int) -> int:

@@ -11,6 +11,7 @@ import pytest
 
 import lexid.cli
 import lexid.restarts
+import lexid.sparse
 from lexid import (
     ClosedNeighborhoodMatrix,
     OrderingStrategy,
@@ -353,13 +354,13 @@ class TestRestartsCommand:
     def test_a_failing_restart_exits_one(self, fixture_file, monkeypatch, capsys):
         constructions = []
 
-        def construct(array, sequence):
+        def construct(array, order, position):
             constructions.append(array)
             if len(constructions) == 3:
                 raise ValueError("restart 2 failed")
-            return lex_code_sparse(array, sequence)
+            return lexid.sparse._run(array, order, position)
 
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
+        monkeypatch.setattr(lexid.restarts, "_run", construct)
         assert main(["restarts", "--restarts", "4", fixture_file]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import lexid.restarts
 import lexid.rng
+import lexid.sparse
 from lexid import (
     ClosedNeighborhoodMatrix,
     Code,
@@ -500,18 +501,54 @@ class TestRestartLoop:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_random_batch_checks_no_permutation(self, monkeypatch):
+        # each restart's shuffle is a permutation of 1..n by construction
+        def refusing_check(sequence, n):
+            raise AssertionError("a random restart checked its sequence")
+
+        g = self.INSTANCES["gnp128"]()
+        monkeypatch.setattr(lexid.sparse, "_positions", refusing_check)
+        self.same_as_reference(run_restarts(g, "random", 20, seed=0), g, "random", 20, 0)
+
+    def test_an_explicit_sequence_is_checked_once_before_its_one_construction(self, monkeypatch):
+        events = []
+        check, scan = lexid.sparse._positions, lexid.sparse.lex_scan
+
+        def recording_check(sequence, n):
+            events.append("check")
+            return check(sequence, n)
+
+        def recording_scan(*args, **kwargs):
+            events.append("scan")
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(lexid.sparse, "_positions", recording_check)
+        monkeypatch.setattr(lexid.sparse, "lex_scan", recording_scan)
+        g = nonminimal_grid_fixture()
+        sequence = list(range(g.n, 0, -1))
+        report = run_restarts(g, sequence, 5, seed=0)
+        assert events == ["check", "scan"]
+        code = code_to_original(lex_code_sparse(relabeled_array(g.neighborhood_array, sequence)), sequence)
+        assert (report.best_code, report.cardinalities) == (code, (code.cardinality,) * 5)
+        events.clear()
+        bad = [1, 1] + list(range(3, g.n + 1))
+        with pytest.raises(ValueError) as info:
+            run_restarts(g, bad, 5, seed=0)
+        assert str(info.value) == f"not a permutation of 1..{g.n}: {tuple(bad)!r}"
+        assert "scan" not in events
+
     @pytest.mark.parametrize("failure", [KeyError, ValueError, KeyboardInterrupt])
     def test_a_failing_restart_stops_the_batch(self, monkeypatch, failure):
         # restart 3 fails: its exception reaches the caller and no later restart runs
         constructions = []
 
-        def construct(array, sequence):
+        def construct(array, order, position):
             constructions.append(array)
             if len(constructions) == 4:
                 raise failure("restart 3 failed")
-            return lex_code_sparse(array, sequence)
+            return lexid.sparse._run(array, order, position)
 
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", construct)
+        monkeypatch.setattr(lexid.restarts, "_run", construct)
         with pytest.raises(failure) as info:
             run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
         assert info.value.args == ("restart 3 failed",)

@@ -21,7 +21,7 @@ from lexid import (
     path_graph,
 )
 from lexid.dense import DenseWorkTally
-from lexid.sparse import SparseWorkTally
+from lexid.sparse import SparseWorkTally, _run
 
 from calls import scan_steps
 from corpus import full_corpus, graphs, graphs_with_twins, small_corpus, twin_free_corpus, twin_free_graphs
@@ -216,6 +216,23 @@ class TestProcessingOrder:
             rnd = random.Random(derive_seed(0, i))
             for sequence in (list(range(1, g.n + 1)), list(range(g.n, 0, -1)), shuffled(g.n, rnd)):
                 self.assert_same_run(g, sequence)
+
+    @with_and_without_twins
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_the_unchecked_run_matches_the_checked_one(self, kind, data):
+        # the run a random restart makes, on the inverse its loop builds
+        g = data.draw(kind)
+        sequence = shuffled(g.n, data.draw(st.randoms(use_true_random=False)))
+        position = [0] * (g.n + 1)
+        for p, v in enumerate(sequence, 1):
+            position[v] = p
+        a, order = g.neighborhood_array, [0, *sequence]
+        assert _run(a, order, position) == lex_code_sparse(a, sequence)
+        got, expected = SparseWorkTally(), SparseWorkTally()
+        assert (scan_steps(_run, a, order=order, position=position, tally=got)
+                == scan_steps(lex_code_sparse, a, sequence=sequence, tally=expected))
+        assert got == expected
 
     def test_twins_are_reported_by_position(self):
         g = Graph(4, [(1, 2), (3, 4)])  # twins {1, 2} and {3, 4}
