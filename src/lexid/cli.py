@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage or parse error, 2 graph not twin-free (the
-twin pair is printed), 3 verification rejected the supplied code.
+twin pair is printed), 3 verification rejected the supplied code, 141 stdout
+is a pipe with no reader (nothing is printed on stderr).
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ def _cmd_code(args: argparse.Namespace) -> int:
     strategy = _strategy_from_args(args)
     seed = _seed(args)  # read under every ordering, so a bad LEXID_SEED fails any code run
     identity = strategy.kind == "identity"
-    sequence = range(1, g.n + 1) if identity else strategy.sequence_for(g, SplitMix64(seed))
+    # an explicit order goes to the constructor unchecked: the constructor's check is its only one
+    sequence = range(1, g.n + 1) if identity else (
+        strategy.sequence or strategy.sequence_for(g, SplitMix64(seed)))
     if algorithm == "dense":
         outcome = lex_code_dense(ClosedNeighborhoodMatrix(g.neighborhood_array), None if identity else sequence)
     else:
@@ -311,7 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
+        return status
     except BrokenPipeError:
         # downstream consumer closed the pipe (e.g. `lexid ... | head`);
         # point stdout at devnull so interpreter shutdown does not re-raise

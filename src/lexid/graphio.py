@@ -4,15 +4,16 @@ Both formats are UTF-8 text, break lines at LF, CRLF or CR, and use 1-indexed
 vertices. The order of edge lines never affects algorithm behavior; only vertex
 indices define the processing order.
 
-A parse reads lines from the start only up to the header.  It tokenizes the
-body after it one piece at a time, each piece the lines that begin within
-PIECE_CHARS characters of its start: split once, its line breaks marked, or,
-if it holds a blank line, a '#' or (in DIMACS) a 'c', split into lines first
-to drop blank and comment lines.  Each piece's endpoints, all exact ints, are
-appended to two int lists, which Graph takes with no type pass.  So beside the
-text, the endpoint lists and the Graph, a parse holds the tokens of one piece,
-never of the whole file.  Only when a check fails is the whole text split into
-numbered lines, to name the first fault.
+One helper reads lines from the start up to the first significant one, which
+both parsers take as the header and detect_format reads for its tag.  A parse
+tokenizes the body after it one piece at a time, each piece the lines that
+begin within PIECE_CHARS characters of its start: split once, its line breaks
+marked, or, if it holds a blank line, a '#' or (in DIMACS) a 'c', split into
+lines first to drop blank and comment lines.  Each piece's endpoints, all
+exact ints, are appended to two int lists, which Graph takes with no type
+pass.  So beside the text, the endpoint lists and the Graph, a parse holds the
+tokens of one piece, never of the whole file.  Only when a check fails is the
+whole text split into numbered lines, to name the first fault.
 """
 
 from __future__ import annotations
@@ -49,21 +50,18 @@ def _normalized(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def _lines(text: str):
-    """(number, stripped line, offset of the next line) of each line of a
-    normalized text, read from the start."""
+def _first_line(text: str, tag: str = "") -> tuple[int, str, list[str], int] | None:
+    """(number, stripped text, tokens, offset of the next line) of the first
+    line of a normalized text that is not blank, not a '#' comment and not led
+    by the token `tag` (DIMACS: 'c'), or None if there is none."""
     number, start = 1, 0
-    while (end := text.find("\n", start)) >= 0:
-        yield number, text[start:end].strip(), end + 1
-        number, start = number + 1, end + 1
-    yield number, text[start:].strip(), len(text) + 1
-
-
-def _significant(lines: list[str], start: int) -> list[tuple[int, str]]:
-    """(number, stripped text) of each line that is not blank or a '#' comment;
-    lines[0] is line `start`."""
-    numbered = enumerate(map(str.strip, lines), start)
-    return [(number, line) for number, line in numbered if line and line[0] != "#"]
+    while start <= len(text):
+        end = text.find("\n", start) + 1 or len(text) + 1  # the offset of the next line
+        tokens = text[start:end].split()
+        if tokens and tokens[0][0] != "#" and tokens[0] != tag:
+            return number, text[start:end].strip(), tokens, end
+        number, start = number + 1, end
+    return None
 
 
 def _content(piece: str, tag: str) -> list[str]:
@@ -140,7 +138,8 @@ def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, text: str, 
             return Graph._from_int_endpoints(n, *ends, oriented)
         except EdgeError:
             pass
-    significant = _significant(text.split("\n")[number:], number + 1)
+    numbered = enumerate(map(str.strip, text.split("\n")[number:]), number + 1)
+    significant = [(k, line) for k, line in numbered if line and line[0] != "#"]  # not blank or '#'
     pairs, numbers, fault = [], [], None
     try:
         walk(significant, pairs, numbers)
@@ -225,12 +224,9 @@ def parse_edge_list(text: str) -> Graph:
     Blank lines and lines starting with '#' are ignored anywhere.
     """
     text = _normalized(text)
-    for number, line, body in _lines(text):
-        if line and line[0] != "#":
-            break
-    else:
+    if (first := _first_line(text)) is None:
         raise ParseError("missing 'n m' header line")
-    tokens = line.split()
+    number, line, tokens, body = first
     if len(tokens) != 2:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
@@ -263,13 +259,9 @@ def parse_dimacs(text: str) -> Graph:
     and self-loops are rejected.
     """
     text = _normalized(text)
-    for number, line, body in _lines(text):
-        if line and line[0] != "#":
-            tokens = line.split()
-            if tokens[0] != "c":
-                break
-    else:
+    if (first := _first_line(text, "c")) is None:
         raise ParseError("missing 'p edge n m' problem line")
+    number, line, tokens, body = first
     if tokens[0] == "e":
         raise ParseError("edge line before problem line", number)
     if tokens[0] != "p":
@@ -320,12 +312,8 @@ def to_dimacs(g: Graph) -> str:
 
 def detect_format(text: str) -> str:
     """Guess 'dimacs' or 'edgelist' from the first significant line."""
-    # each match is one non-empty line; reading stops at the first significant one
-    for match in re.finditer(r"[^\r\n]+", text):
-        tokens = match.group().split()
-        if tokens and not tokens[0].startswith("#"):
-            return "dimacs" if tokens[0] in ("c", "p", "e") else "edgelist"
-    return "edgelist"
+    first = _first_line(_normalized(text))
+    return "dimacs" if first and first[2][0] in ("c", "p", "e") else "edgelist"
 
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:

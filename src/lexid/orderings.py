@@ -19,7 +19,8 @@ STRATEGY_KINDS = ("identity", "random", "degree-asc", "degree-desc", "explicit")
 
 @dataclass(frozen=True)
 class OrderingStrategy:
-    """How to order vertices before a run; always yields a bijection on 1..n."""
+    """How to order vertices before a run.  Every sequence_for result is a
+    permutation of 1..n: an explicit sequence is checked there, the rest built."""
 
     kind: str
     sequence: tuple[int, ...] | None = None  # explicit processing order

@@ -4,10 +4,11 @@ Each restart runs the sparse constructor on the graph's one neighborhood
 array, scanning it in the restart's processing order: no relabeled array and
 no new Graph is built.  Under the random ordering, restart i draws its order
 from a generator seeded with derive_seed(seed, i), so reports are
-reproducible and the first r restarts never depend on the total count; its
-shuffle is a permutation, so it skips lex_code_sparse's sequence check.  Every
-other ordering gives all restarts one order and so one code, which is checked
-and constructed once and repeated for every index.
+reproducible and the first r restarts never depend on the total count.  Every
+other ordering gives all restarts one order and so one code, built and
+constructed once and repeated for every index.  Each ordering runs one body:
+sequence_for builds a permutation, the one check of an explicit order, and the
+run takes it and its inverse unchecked.
 
 Every restart runs in the calling process, one after another.  A run names
 its codewords by position, so the loop keeps the first strictly smallest code
@@ -24,7 +25,7 @@ from typing import Sequence
 from .graph import Code, Graph, TwinsError, find_twins
 from .orderings import OrderingStrategy, as_strategy, code_to_original
 from .rng import SplitMix64, derive_seed
-from .sparse import _run, lex_code_sparse
+from .sparse import _run
 
 
 @dataclass(frozen=True)
@@ -60,29 +61,26 @@ def run_restarts(
     if twins is not None:
         raise TwinsError(twins)
     array = g.neighborhood_array
-    fixed = None if strategy.kind == "random" else strategy.sequence_for(g)
+    once = strategy.kind != "random"  # every other ordering gives every restart one order
     seeds = [derive_seed(seed, i) for i in range(restarts)]
 
     best_by_position: Code | None = None  # the first strictly smallest code, before map-back
     best_sequence: list[int] = []
     cardinalities: list[int] = []
     elapsed: list[float] = []
-    for child in seeds if fixed is None else seeds[:1]:
+    for child in seeds[:1] if once else seeds:
         start = time.perf_counter()
-        sequence = fixed or strategy.sequence_for(g, SplitMix64(child))
-        if fixed is None:  # a shuffle of 1..n is a permutation, so its inverse is built unchecked
-            position = [0] * (g.n + 1)
-            for p, v in enumerate(sequence, 1):
-                position[v] = p
-            outcome = _run(array, [0, *sequence], position)
-        else:
-            outcome = lex_code_sparse(array, sequence)
+        sequence = strategy.sequence_for(g, SplitMix64(child))
+        position = [0] * (g.n + 1)
+        for p, v in enumerate(sequence, 1):
+            position[v] = p
+        outcome = _run(array, [0, *sequence], position)
         assert isinstance(outcome, Code)  # twin-freeness is permutation-invariant
         if best_by_position is None or len(outcome) < len(best_by_position):
             best_by_position, best_sequence = outcome, sequence  # ties keep the first
         elapsed.append(time.perf_counter() - start)
         cardinalities.append(len(outcome))
-    if fixed is not None:  # one order gives one code: construct it once and repeat it for every restart
+    if once:  # one order gives one code: construct it once and repeat it for every restart
         cardinalities *= restarts
         elapsed *= restarts
     best_code = code_to_original(best_by_position, best_sequence)

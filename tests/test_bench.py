@@ -1,9 +1,10 @@
 import csv
+import importlib
 import io
 
 import pytest
 
-from lexid import bench, fit_loglog_slope, near_square_grid
+from lexid import Code, bench, fit_loglog_slope, near_square_grid
 
 
 class TestHelpers:
@@ -26,6 +27,8 @@ class TestHelpers:
     def test_fit_needs_two_points(self):
         with pytest.raises(ValueError):
             fit_loglog_slope([(4.0, 2.0)])
+        with pytest.raises(ValueError, match="at least two distinct sizes"):
+            fit_loglog_slope([(4.0, 2.0), (4.0, 3.0)])
 
 
 class TestBench:
@@ -36,6 +39,10 @@ class TestBench:
         assert grid_dense.max_degree == 4
         assert grid_dense.work_units > 0
         assert report.slope("grid", "dense") > report.slope("grid", "sparse")
+        with pytest.raises(KeyError, match=r"no slope for \(cycle, dense\)"):
+            report.slope("cycle", "dense")
+        with pytest.raises(KeyError, match=r"no sample for \(grid, 25, dense\)"):
+            report.sample("grid", 25, "dense")
 
     def test_work_counters_deterministic(self):
         a = bench(["grid"], [16, 25], repetitions=1, seed=3)
@@ -47,6 +54,12 @@ class TestBench:
                 sb.algorithm,
                 sb.work_units,
             )
+
+    def test_a_dense_sparse_disagreement_raises(self, monkeypatch):
+        module = importlib.import_module("lexid.bench")  # the package's `bench` is the function
+        monkeypatch.setattr(module, "lex_code_dense", lambda matrix, tally=None: Code((1,)))
+        with pytest.raises(RuntimeError, match="dense/sparse disagree on grid n=16"):
+            bench(["grid"], [16], repetitions=1, seed=0)
 
     def test_twin_instances_skipped_with_note(self):
         report = bench(["cycle"], [3, 8], repetitions=1, seed=0)  # C3 is all twins

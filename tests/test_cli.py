@@ -10,6 +10,9 @@ import sys
 import pytest
 
 import lexid.cli
+import lexid.dense
+import lexid.graph
+import lexid.orderings
 import lexid.restarts
 import lexid.sparse
 from lexid import (
@@ -154,6 +157,28 @@ class TestCodeCommand:
         assert main(["code", "--ordering", "explicit", "--perm", "3,2,1", p3_file]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "1 3"  # symmetric relabeling of the path
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_an_explicit_order_is_checked_once(self, fixture_file, dense, monkeypatch, capsys):
+        checks = []
+        check = lexid.graph._positions
+
+        def recording_check(sequence, n):
+            checks.append(tuple(sequence))
+            return check(sequence, n)
+
+        for module in (lexid.orderings, lexid.sparse, lexid.dense):
+            monkeypatch.setattr(module, "_positions", recording_check)
+        flags = ["code", "--ordering", "explicit", *["--dense"] * dense, fixture_file, "--perm"]
+        assert main([*flags, "9,8,7,6,5,4,3,2,1"]) == 0
+        assert capsys.readouterr() == ("4 5 6 7 8 9\n6\n", "")
+        assert checks == [(9, 8, 7, 6, 5, 4, 3, 2, 1)]
+        for bad in ("1,1,3", ""):
+            checks.clear()
+            assert main([*flags, bad]) == 1
+            message = f"lexid: error: not a permutation of 1..9: ({bad.replace(',', ', ')})\n"
+            assert capsys.readouterr() == ("", message)
+            assert len(checks) == 1
 
     def test_env_seed_matches_flag(self, fixture_file, capsys, monkeypatch):
         monkeypatch.setenv("LEXID_SEED", "4")
@@ -562,6 +587,24 @@ class TestBrokenPipe:
         assert result.returncode == 0  # head's status
         assert "Broken pipe" not in result.stderr
         assert result.stdout.startswith("strategy:")
+
+    @pytest.mark.parametrize("command", [["code"], ["twins"], ["restarts", "--restarts", "3"]])
+    def test_a_closed_pipe_exits_141_quietly_with_buffered_output(self, fixture_file, command):
+        import subprocess
+        from pathlib import Path
+
+        # buffered stdout: output that fits the buffer is written only when the command is done
+        package_root = str(Path(lexid.cli.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the command starts
+        try:
+            result = subprocess.run([sys.executable, "-m", "lexid.cli", *command, fixture_file],
+                                    stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")
 
 
 class TestUsageErrors:

@@ -38,6 +38,10 @@ class TestMin2:
         with pytest.raises(ValueError):
             min2(path_graph(3).neighborhood_matrix, 2, 2)
 
+    def test_rejects_a_vertex_out_of_range(self):
+        with pytest.raises(ValueError, match=r"vertex 0 out of range 1\.\.3"):
+            min2(path_graph(3).neighborhood_matrix, 0, 1)
+
     def test_symmetric(self):
         b = nonminimal_grid_fixture().neighborhood_matrix
         assert min2(b, 7, 8) == min2(b, 8, 7)

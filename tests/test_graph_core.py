@@ -52,6 +52,17 @@ class TestGraphConstruction:
             Graph(n, edges)
         assert str(info.value) == message
 
+    def test_an_item_that_is_no_pair_raises_the_unpacking_error(self):
+        with pytest.raises(TypeError) as unpacking:
+            u, v = 5
+        with pytest.raises(TypeError) as info:
+            Graph(3, [5])
+        assert str(info.value) == str(unpacking.value)
+
+    def test_never_equal_to_another_type(self):
+        assert Graph(3).__eq__("x") is NotImplemented
+        assert (Graph(3) == "x") is False
+
     def test_single_vertex_is_legal(self):
         g = Graph(1)
         assert g.n == 1 and not g.edges

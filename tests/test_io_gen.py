@@ -365,6 +365,10 @@ class TestGenerators:
             gen("gnp", [8, 1.5], seed=1)
         with pytest.raises(ValueError):
             gen("nonsense", [3])
+        with pytest.raises(ValueError, match="gnp needs n >= 1, got 0"):
+            gnp_graph(0, 0.5, 1)
+        with pytest.raises(ValueError, match="hypercube needs dim >= 0, got -1"):
+            hypercube_graph(-1)
 
 
 class TestFixture:

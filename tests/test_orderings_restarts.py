@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lexid.orderings
 import lexid.restarts
 import lexid.rng
 import lexid.sparse
@@ -115,6 +116,8 @@ class TestSplitMix64:
         xs = [a.randbelow(13) for _ in range(200)]
         assert xs == [b.randbelow(13) for _ in range(200)]
         assert set(xs) <= set(range(13))
+        with pytest.raises(ValueError, match="bound must be positive, got 0"):
+            SplitMix64(0).randbelow(0)
 
     def test_shuffle_is_permutation(self):
         items = list(range(1, 30))
@@ -206,6 +209,8 @@ class TestSplitMix64:
         assert [derive_seed(7, i) for i in range(5)] == [derive_seed(7, i) for i in range(5)]
         assert derive_seed(7, 0) != derive_seed(7, 1)
         assert derive_seed(7, 0) != derive_seed(8, 0)
+        with pytest.raises(ValueError, match="index must be non-negative, got -1"):
+            derive_seed(0, -1)
 
 
 class TestOrderingStrategy:
@@ -414,7 +419,7 @@ class TestRunRestarts:
         with pytest.raises(ValueError) as single:
             run_restarts(g, (1, 2, 3), 1, seed=0)
         constructions = []
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", constructions.append)
+        monkeypatch.setattr(lexid.restarts, "_run", constructions.append)
         with pytest.raises(ValueError) as info:
             run_restarts(g, (1, 2, 3), 8, seed=0)
         assert str(info.value) == str(single.value) == "not a permutation of 1..9: (1, 2, 3)"
@@ -430,13 +435,14 @@ class TestRunRestarts:
             return sequence_for(self, g, rng)
 
         constructions = []
+        run = lexid.restarts._run
 
-        def counting_construct(array, sequence):
+        def counting_construct(array, order, position):
             constructions.append(array)
-            return lex_code_sparse(array, sequence)
+            return run(array, order, position)
 
         monkeypatch.setattr(OrderingStrategy, "sequence_for", counting_sequence_for)
-        monkeypatch.setattr(lexid.restarts, "lex_code_sparse", counting_construct)
+        monkeypatch.setattr(lexid.restarts, "_run", counting_construct)
         report = run_restarts(nonminimal_grid_fixture(), strategy, 20, seed=0)
         assert len(calls) == len(constructions) == 1
         assert len(set(report.cardinalities)) == 1
@@ -522,7 +528,8 @@ class TestRestartLoop:
             events.append("scan")
             return scan(*args, **kwargs)
 
-        monkeypatch.setattr(lexid.sparse, "_positions", recording_check)
+        for module in (lexid.orderings, lexid.sparse):  # "once" counts the check in every module
+            monkeypatch.setattr(module, "_positions", recording_check)
         monkeypatch.setattr(lexid.sparse, "lex_scan", recording_scan)
         g = nonminimal_grid_fixture()
         sequence = list(range(g.n, 0, -1))
