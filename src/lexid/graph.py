@@ -291,13 +291,7 @@ def is_identifying_code(g: Graph, code: Code | Iterable[int]) -> bool:
     that is not an int in 1..n raises ValueError, the first in input order.
     """
     n = g.n
-    given = list(code)
-    if not set(map(type, given)) <= {int} or given and not 1 <= min(given) <= max(given) <= n:
-        for v in given:  # name the first bad member
-            if type(v) is not int:
-                raise ValueError(f"code member {v!r} is not an integer")
-            if not 1 <= v <= n:
-                raise ValueError(f"code member {v} out of range 1..{n}")
+    given = _members(code, n, "code member")
     lists = g.neighborhood_array._lists
     traces: list[list[int]] = [[] for _ in range(n + 1)]
     for c in sorted(set(given)):
@@ -358,6 +352,19 @@ def _first_fault(n: int, items: Iterable) -> EdgeError:
             return EdgeError(f"duplicate edge ({pair[0]}, {pair[1]})", index)
         seen.add(pair)
     raise AssertionError("the bulk edge checks failed on valid pairs")
+
+
+def _members(members: Iterable[int], n: int, what: str) -> list[int]:
+    """The members as a list; ValueError at the first, in input order, that is
+    not an exact int in 1..n, named as `what`."""
+    given = list(members)
+    if not set(map(type, given)) <= {int} or given and not 1 <= min(given) <= max(given) <= n:
+        for v in given:
+            if type(v) is not int:
+                raise ValueError(f"{what} {v!r} is not an integer")
+            if not 1 <= v <= n:
+                raise ValueError(f"{what} {v} out of range 1..{n}")
+    return given
 
 
 def _positions(sequence: Sequence[int], n: int) -> list[int]:

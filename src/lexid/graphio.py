@@ -6,18 +6,25 @@ indices define the processing order.
 
 One helper reads lines from the start up to the first significant one, which
 both parsers take as the header and detect_format reads for its tag.  A parse
-tokenizes the body after it one piece at a time, each piece the lines that
-begin within PIECE_CHARS characters of its start: split once, its line breaks
-marked, or, if it holds a blank line, a '#' or (in DIMACS) a 'c', split into
-lines first to drop blank and comment lines.  Each piece's endpoints, all
-exact ints, are appended to two int lists, which Graph takes with no type
-pass.  So beside the text, the endpoint lists and the Graph, a parse holds the
-tokens of one piece, never of the whole file.  Only when a check fails is the
-whole text split into numbered lines, to name the first fault.
+reads the body after it one piece at a time, each piece the lines that begin
+within PIECE_CHARS characters of its start.  If the graph gets no table of
+labels, a canonical piece (only ASCII digits, single spaces and line breaks;
+in DIMACS each line led by 'e ') is decoded as one JSON array by the C
+scanner, which makes its ints with no str tokens.  Every other piece is split:
+once, its line breaks marked, or, if it holds a blank line, a '#' or (in
+DIMACS) a 'c', into lines first to drop blank and comment lines; its tokens go
+through int() or the table.  A graph with a table is only split: its lookups
+share one int per label, where the scanner makes one per endpoint and is
+slower.  Each piece's endpoints, all exact ints, are appended to two int
+lists, which Graph takes with no type pass.  So beside the text, the endpoint
+lists and the Graph, a parse holds the tokens or the array of one piece, never
+of the whole file.  Only when a check fails is the whole text split into
+numbered lines, to name the first fault.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from functools import partial
 from itertools import filterfalse
@@ -35,6 +42,8 @@ _C_COMMENT = re.compile(r"\s*c(?:\s|$)").match
 # a few times its size; each piece also costs a few Python calls, which must
 # stay far below one per 100 edges.
 PIECE_CHARS = 1 << 16
+
+_decode = json.JSONDecoder().decode
 
 
 class ParseError(ValueError):
@@ -173,21 +182,51 @@ def _ends(text: str, start: int, n: int, m: int, tag: str) -> tuple[list[int], l
             end = stop
         piece = text[start:end]
         start = end + 1
-        tokens = None
-        if "\n\n" not in piece and "#" not in piece and not (tag and "c" in piece):
-            tokens = _tokens(piece.replace("\n", " ; "), piece.count("\n") + 1, tag)
-        if tokens is None:  # blank or comment lines, or a fault
-            lines = _content(piece, tag)
-            tokens = _tokens(" ; ".join(lines), len(lines), tag)
-        if tokens is None:
-            return None
-        try:
-            ends = _ints(tokens, labels)
-        except ValueError:
+        ends = _scanned(piece, tag) if labels is None else None
+        if ends is None and (ends := _split(piece, tag, labels)) is None:
             return None
         us += ends[0::2]
         vs += ends[1::2]
     return us, vs
+
+
+def _split(piece: str, tag: str, labels: dict[str, int] | None) -> list[int] | None:
+    """The endpoints of a piece, split into tokens and converted by _ints, or
+    None if one of its significant lines breaks a line rule."""
+    tokens = None
+    if "\n\n" not in piece and "#" not in piece and not (tag and "c" in piece):
+        tokens = _tokens(piece.replace("\n", " ; "), piece.count("\n") + 1, tag)
+    if tokens is None:  # blank or comment lines, or a fault
+        lines = _content(piece, tag)
+        tokens = _tokens(" ; ".join(lines), len(lines), tag)
+    if tokens is None:
+        return None
+    try:
+        return _ints(tokens, labels)
+    except ValueError:
+        return None
+
+
+def _scanned(piece: str, tag: str) -> list[int] | None:
+    """The endpoints of a canonical piece, decoded as one JSON array with null
+    for each line break, or None.  Its L lines must give 3L - 1 entries with
+    every third from index 2 a null.  JSON refuses the other spellings int()
+    reads (leading zeros, signs, '_'), so a piece it takes gives _split's ints."""
+    lines = piece.count("\n") + 1
+    if tag:
+        if not piece.startswith("e ") or piece.count("\ne ") != lines - 1:
+            return None
+        piece = piece[2:].replace("\ne ", "\n")
+    if piece.encode().translate(None, b"0123456789 \n"):
+        return None
+    try:
+        ends = _decode("[" + piece.replace(" ", ",").replace("\n", ",null,") + "]")
+    except ValueError:  # an empty token, a leading zero or more than 4300 digits
+        return None
+    if len(ends) != 3 * lines - 1 or ends[2::3].count(None) != lines - 1:
+        return None
+    del ends[2::3]
+    return ends
 
 
 # _tokens splits L lines at once, with the marker token ";" between each two (a

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Code, Graph, _positions
+from .graph import Code, Graph, _members, _positions
 from .rng import SplitMix64
 
 STRATEGY_KINDS = ("identity", "random", "degree-asc", "degree-desc", "explicit")
@@ -75,6 +75,8 @@ def code_to_original(code: Code, sequence: Sequence[int]) -> Code:
 
 
 def prefix_sequence(g: Graph, members: Iterable[int]) -> list[int]:
-    """Processing sequence of the given vertices in ascending order, then the rest."""
-    member_set = set(members)
+    """Processing sequence of the given vertices in ascending order, then the
+    rest.  A member that is not an int in 1..n raises ValueError, the first in
+    input order."""
+    member_set = set(_members(members, g.n, "prefix member"))
     return sorted(member_set) + [v for v in range(1, g.n + 1) if v not in member_set]

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 import lexid.graphio
 from lexid import (
-    Graph, ParseError, apply_sequence, find_twins, gnp_graph, is_identifying_code, lex_code_dense,
-    lex_code_sparse, parse_graph, path_graph, to_dimacs, to_edge_list,
+    Graph, ParseError, apply_sequence, find_twins, gnp_graph, grid_graph, is_identifying_code,
+    lex_code_dense, lex_code_sparse, parse_graph, path_graph, to_dimacs, to_edge_list,
 )
 from lexid.cli import main
 from lexid.graph import EdgeError
@@ -250,16 +250,17 @@ def test_a_fault_in_the_last_piece_is_named_at_its_line(fmt, fault):
 @pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
 def test_a_clean_body_is_never_split_into_lines(monkeypatch, serialize, line_end, final_break):
     # each piece of a file with no blank or comment line is split once, the
-    # last one too, whether the file ends with a line break or not
+    # last one too, whether the file ends with a line break or not; the path
+    # takes the JSON route, G(512, 0.29) its table of labels and the split route
     content = lexid.graphio._content
     calls = []
     monkeypatch.setattr(lexid.graphio, "_content", lambda *args: calls.append(1) or content(*args))
-    g = path_graph(20000)
-    text = serialize(g).replace("\n", line_end)
-    if not final_break:
-        text = text[:-len(line_end)]
-    assert len(text) > 3 * lexid.graphio.PIECE_CHARS
-    assert parse_graph(text) == g
+    for g in (path_graph(20000), gnp_graph(512, 0.29, seed=0)):
+        text = serialize(g).replace("\n", line_end)
+        if not final_break:
+            text = text[:-len(line_end)]
+        assert len(text) > 3 * lexid.graphio.PIECE_CHARS
+        assert parse_graph(text) == g
     assert calls == []
 
 
@@ -295,6 +296,66 @@ def test_noisy_bodies_keep_the_reference_results(monkeypatch, piece_chars):
         monkeypatch.setattr(lexid.graphio, "PIECE_CHARS", piece_chars)
     for fmt, text in NOISY_BODY_CASES:
         test_the_bulk_parse_keeps_the_line_rules(fmt, text)
+
+
+# Lines the JSON scanner must leave to the split route, in graphs with no table
+# of labels, whose other lines it reads: endpoints that int() takes and JSON
+# refuses ('01', '00', '+1', '1_0', an Arabic-Indic three), JSON values that
+# are not vertices, tokens of 4300 digits (int()'s limit) and 4301, and lines
+# that are not canonical.
+SPELLINGS = ["01", "00", "+1", "1_0", "\u0663", "null", "true", "-0", "1E3", "[1]", "9" * 4300, "9" * 4301]
+NOT_CANONICAL_LINES = ["2 3", "2  3", " 2 3", "2 3 ", "2\t3", "e  2 3", "e 2 3 ", "E 2 3", "e2 3", "e 2\t3", "e 2 e3"]
+SPELLING_CASES = [
+    *((fmt, text) for s in SPELLINGS for fmt, text in [
+        ("edgelist", f"12 3\n1 2\n{s} 11\n3 4\n"),
+        ("edgelist", f"12 3\n1 2\n3 4\n2 {s}"),
+        ("dimacs", f"p edge 12 3\ne 1 2\ne 11 {s}\ne 3 4\n"),
+        ("dimacs", f"p edge 12 3\ne 1 2\ne 3 4\ne {s} 2"),
+    ]),
+    *((fmt, text) for line in NOT_CANONICAL_LINES for fmt, text in [
+        ("edgelist", f"4 3\n1 2\n{line}\n3 4\n"),
+        ("edgelist", f"4 3\n1 2\n3 4\n{line}"),
+        ("dimacs", f"p edge 4 3\ne 1 2\n{line}\ne 3 4\n"),
+        ("dimacs", f"p edge 4 3\ne 1 2\ne 3 4\n{line}"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("piece_chars", [None, *range(1, 9)])
+def test_spellings_off_the_json_route_keep_the_reference_results(monkeypatch, piece_chars):
+    if piece_chars is not None:
+        monkeypatch.setattr(lexid.graphio, "PIECE_CHARS", piece_chars)
+    for fmt, text in SPELLING_CASES:
+        test_the_bulk_parse_keeps_the_line_rules(fmt, text)
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
+def test_a_canonical_body_without_a_label_table_is_never_tokenized(monkeypatch, serialize, line_end):
+    # every piece of a path's file goes through the JSON scanner, none through _tokens
+    calls = {"_tokens": 0, "_decode": 0}
+    for name in calls:
+        def counting(*args, name=name, inner=getattr(lexid.graphio, name)):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(lexid.graphio, name, counting)
+    g = path_graph(20000)
+    text = serialize(g).replace("\n", line_end)
+    assert len(text) > 3 * lexid.graphio.PIECE_CHARS
+    assert lexid.graphio._labels(g.n, len(g.edges)) is None
+    assert parse_graph(text) == g
+    assert calls["_tokens"] == 0 and calls["_decode"] >= 4
+
+
+@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
+def test_a_graph_with_a_label_table_never_calls_the_json_decoder(monkeypatch, serialize):
+    def refuse(text):
+        raise AssertionError("JSON decoder called")
+
+    monkeypatch.setattr(lexid.graphio, "_decode", refuse)
+    g = gnp_graph(300, 0.2, seed=3)
+    assert lexid.graphio._labels(g.n, len(g.edges)) is not None
+    assert parse_graph(serialize(g)) == g
 
 
 @st.composite
@@ -538,13 +599,22 @@ def test_a_huge_header_allocates_nothing_sized_by_n(text):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
-def test_the_parse_holds_little_beyond_the_graph(serialize):
+@pytest.mark.parametrize("serialize, graph, bound", [
+    pytest.param(to_edge_list, "gnp", 4.5 * 2**20, id="to_edge_list"),
+    pytest.param(to_dimacs, "gnp", 4.5 * 2**20, id="to_dimacs"),
+    pytest.param(to_edge_list, "grid", 0.5 * 2**20, id="to_edge_list-no-table"),
+    pytest.param(to_dimacs, "grid", 0.5 * 2**20, id="to_dimacs-no-table"),
+])
+def test_the_parse_holds_little_beyond_the_graph(serialize, graph, bound):
     # G(512, 0.29), 38k edges in a 0.3 MB text: the transient bytes are ~3.2 MiB,
-    # most of them Graph's own checks; a whole-file tokenization took ~6.3 MiB
-    text = serialize(gnp_graph(512, 0.29, seed=0))
+    # most of them Graph's own checks; a whole-file tokenization took ~6.3 MiB.
+    # The 64x64 grid, 8064 edges, gets no table of labels and is read by the
+    # JSON scanner: ~0.21 MiB transient (edge list) and ~0.25 MiB (DIMACS),
+    # where its split() tokens took ~1.02 and ~0.73 MiB
+    g = gnp_graph(512, 0.29, seed=0) if graph == "gnp" else grid_graph(64, 64)
+    text = serialize(g)
     peak, live = traced_peak(lambda: parse_graph(text))
-    assert peak - live < 4.5 * 2**20
+    assert peak - live < bound
 
 
 def test_minimum_refuses_a_huge_header_before_any_view(tmp_path, capsys):
@@ -557,12 +627,20 @@ def test_minimum_refuses_a_huge_header_before_any_view(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
-def test_the_front_end_makes_no_call_per_edge(serialize):
-    g = gnp_graph(300, 0.2, seed=3)
+@pytest.mark.parametrize("serialize, graph", [
+    pytest.param(to_edge_list, "gnp", id="to_edge_list"),
+    pytest.param(to_dimacs, "gnp", id="to_dimacs"),
+    pytest.param(to_edge_list, "grid", id="to_edge_list-no-table"),
+    pytest.param(to_dimacs, "grid", id="to_dimacs-no-table"),
+])
+def test_the_front_end_makes_no_call_per_edge(serialize, graph):
+    # G(300, 0.2) takes the table of labels; the 64x64 grid does not, and its
+    # pieces go through the JSON scanner (31 calls in all)
+    g = gnp_graph(300, 0.2, seed=3) if graph == "gnp" else grid_graph(64, 64)
     text = serialize(g)
     m = len(g.edges)
     assert m > 8000
+    assert (lexid.graphio._labels(g.n, m) is None) == (graph == "grid")
     parse_graph(text)  # compiles and caches the module's regular expressions
     calls = python_calls(lambda: parse_graph(text).neighborhood_array)
     assert calls < m / 100

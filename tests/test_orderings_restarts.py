@@ -255,6 +255,21 @@ class TestPermutationPlumbing:
         sequence = prefix_sequence(g, [4, 2])
         assert sequence == [2, 4, 1, 3, 5]  # vertices 2 and 4 land on 1 and 2
         assert apply_sequence(g, sequence).edges == frozenset({(1, 3), (1, 4), (2, 4), (2, 5)})
+        assert prefix_sequence(g, [4, 2, 4]) == sequence
+
+    @pytest.mark.parametrize("members, message", [
+        ([0, 2], "prefix member 0 out of range 1..4"),
+        ([5], "prefix member 5 out of range 1..4"),
+        ([True], "prefix member True is not an integer"),
+        ([2, 2.0], "prefix member 2.0 is not an integer"),
+        ([3, "x", 9], "prefix member 'x' is not an integer"),
+        ([3, -1, "x"], "prefix member -1 out of range 1..4"),
+    ])
+    def test_prefix_sequence_names_the_first_bad_member(self, members, message):
+        # without the check, [0, 2] gave [0, 2, 1, 3, 4], [5] five entries and [True] [True, 2, 3, 4]
+        with pytest.raises(ValueError) as info:
+            prefix_sequence(path_graph(4), members)
+        assert str(info.value) == message
 
     def test_relabeled_code_maps_back_to_identifying_code(self):
         for i, g in enumerate(twin_free_corpus()[:40]):
