@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable, Iterable
 
-from .graph import Code, Graph, RunOutcome, TwinFailure, TwinsError, find_twins, is_identifying_code
+from .graph import Code, Graph, RunOutcome, TwinFailure, TwinsError, _members, find_twins
 
 DEFAULT_EXACT_CAP = 24
 
@@ -72,18 +72,19 @@ def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     deletable later, because identifying sets are closed under supersets.
 
     Keeps the trace N(u) ∩ C of every vertex u and the set `present` of them
-    all, the padding vertex's empty one included.  Deleting v only drops v
-    from the traces of N(v); those all held v, so the new ones differ from
-    each other and from the old ones.  The deletion stands iff none of the new
-    traces is in `present`.
+    all, the padding vertex's empty one included, so the input identifies iff
+    `present` holds n + 1 traces.  Deleting v only drops v from the traces of
+    N(v); those all held v, so the new ones differ from each other and from
+    the old ones.  The deletion stands iff none of the new traces is in
+    `present`.
     """
     members = tuple(code)
-    if not is_identifying_code(g, members):
-        raise ValueError(f"input code {members} is not an identifying code")
+    kept = set(_members(members, g.n, "code member"))
     lists = g.neighborhood_array._lists
-    kept = set(members)
-    traces = list(map(frozenset(members).intersection, lists))
+    traces = list(map(frozenset(kept).intersection, lists))
     present = set(traces)
+    if len(present) <= g.n:
+        raise ValueError(f"input code {members} is not an identifying code")
     for v in sorted(kept):
         nbhd = lists[v]
         old = list(map(traces.__getitem__, nbhd))

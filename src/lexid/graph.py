@@ -26,16 +26,16 @@ class Graph:
     """Undirected simple graph on vertices 1..n.
 
     The edges are stored once, as two private lists `_us` and `_vs`, never
-    mutated, of the pairs u < v in the order given, with the bit `_increasing`
-    set if they strictly increase; `edges`, their frozenset, is built on first
-    use, and `pairs`, their tuple, on each use.  The constructor accepts any
-    iterable of pairs of `int` (a `bool` is not a vertex) and rejects
-    self-loops, out-of-range endpoints, and duplicate edges (in either
-    orientation); `from_endpoints` takes the same edges as two endpoint lists,
-    and `_from_int_endpoints` lists of exact ints with no type pass.  They run
-    the package's only edge rules, on all edges at once; only when a check
-    fails does one walk over the edges find the first faulty one, raising
-    EdgeError with its message and index.
+    mutated, of the pairs u < v in strictly increasing order: pairs given in
+    that order are kept as they are, any other order is sorted once.  `edges`,
+    their frozenset, is built on first use, and `pairs`, their tuple, on each
+    use.  The constructor accepts any iterable of pairs of `int` (a `bool` is
+    not a vertex) and rejects self-loops, out-of-range endpoints, and
+    duplicate edges (in either orientation); `_from_int_endpoints` takes the
+    same edges as two lists of exact ints with no type pass.  Both run the
+    package's only edge rules, `_canonical`, on all edges at once; only when a
+    check fails does one walk over the edges, in the order given, find the
+    first faulty one, raising EdgeError with its message and index.
     Nothing sized by n is allocated before a view is asked for.  The sorted
     lists are the one view built from the edges; the bit matrix is derived
     from them.
@@ -56,61 +56,43 @@ class Graph:
                 us = list(map(itemgetter(0), pairs))
                 vs = list(map(itemgetter(1), pairs))
                 if set(map(type, chain(us, vs))) <= {int}:
-                    checked = _checked_pairs(n, us, vs, pairs)
+                    checked = _canonical(n, us, vs)
         if checked is None:
             raise _first_fault(n, items)
-        self._keep(n, *checked)
-
-    @classmethod
-    def from_endpoints(cls, n: int, us: Sequence[int], vs: Sequence[int]) -> Graph:
-        """The graph Graph(n, zip(us, vs)) builds, or the exception it raises,
-        with every edge rule, the type rule too, run on copies of the lists."""
-        _check_vertex_count(n)
-        if len(us) != len(vs):
-            raise ValueError(f"endpoint lists differ in length: {len(us)} and {len(vs)}")
-        if not set(map(type, chain(us, vs))) <= {int}:
-            raise _first_fault(n, zip(us, vs))
-        return cls._from_int_endpoints(n, list(us), list(vs))
+        self.__dict__.update(n=n, _us=checked[0], _vs=checked[1])  # past the frozen __setattr__
 
     @classmethod
     def _from_int_endpoints(cls, n: int, us: list[int], vs: list[int], oriented: bool = False) -> Graph:
-        """from_endpoints(n, us, vs) with no type pass and no copy, for lists of
-        exact ints such as the parsers make with int() and gnp_graph takes from
-        range(), which the graph takes over; `oriented` vouches that every
-        us[i] < vs[i] too.  It starts as Graph(n): every graph passes __init__."""
-        checked = _checked_pairs(n, us, vs, None, oriented)
+        """Graph(n, zip(us, vs)) with no type pass, for lists of exact ints such
+        as the parsers make with int() and gnp_graph takes from range(), kept
+        uncopied if their pairs u < v increase; `oriented` vouches that every
+        us[i] < vs[i].  It starts as Graph(n): every graph passes __init__."""
+        checked = _canonical(n, us, vs, oriented)
         if checked is None:
             raise _first_fault(n, zip(us, vs))
         g = cls(n)
-        g._keep(n, *checked)
+        g.__dict__.update(_us=checked[0], _vs=checked[1])
         return g
 
-    def _keep(self, n: int, us: list[int], vs: list[int], increasing: bool) -> None:
-        self.__dict__.update(n=n, _us=us, _vs=vs, _increasing=increasing)  # past the frozen __setattr__
-
     def _sorted_endpoints(self) -> tuple[int, ...]:
-        """u1, v1, u2, v2, ... of the pairs in increasing order, sorted only if they are not."""
-        if not self._increasing:
-            return tuple(chain.from_iterable(sorted(zip(self._us, self._vs))))
+        """u1, v1, u2, v2, ... of the pairs, in their increasing order."""
         ends = [0] * (2 * len(self._us))
         ends[0::2], ends[1::2] = self._us, self._vs
         return tuple(ends)
 
     def _relabeled(self, label: list[int]) -> Graph:
         """The graph with each vertex v renamed label[v], for label a permutation of
-        0..n that fixes 0, its pairs sorted: pair a < b has the key a * (n + 1) + b."""
+        0..n that fixes 0; a permutation keeps every edge rule, so none is run."""
         w = self.n + 1
         relabeled = zip(map(label.__getitem__, self._us), map(label.__getitem__, self._vs))
-        keys = [a * w + b if a < b else b * w + a for a, b in relabeled]
-        keys.sort()
-        vertices = list(range(w))  # decoded endpoints are looked up here, to share one int per vertex
-        us = list(map(vertices.__getitem__, map(floordiv, keys, repeat(w))))
-        vs = list(map(vertices.__getitem__, map(mod, keys, repeat(w))))
-        return Graph._from_int_endpoints(self.n, us, vs, oriented=True)  # increasing: no duplicate set
+        us, vs = _decoded([a * w + b if a < b else b * w + a for a, b in relabeled], w)
+        g = Graph(self.n)
+        g.__dict__.update(_us=us, _vs=vs)
+        return g
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The edges as (u, v) tuples, u < v, in the order given; built anew on each use."""
+        """The edges as (u, v) tuples, u < v, in increasing order; built anew on each use."""
         return tuple(zip(self._us, self._vs))
 
     @cached_property
@@ -306,30 +288,43 @@ def _check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
 
 
-def _checked_pairs(n: int, us: list[int], vs: list[int], pairs: Sequence[tuple] | None,
-                   oriented: bool = False) -> tuple[list[int], list[int], bool] | None:
-    """(us, vs, increasing): the edges (us[i], vs[i]) of exact ints as lists with
-    every us[i] < vs[i] (the ones given if `oriented` vouches so or all are) and
-    whether the pairs strictly increase; or None if one breaks an edge rule.
-    Every check is one pass in C over all endpoints: no self-loop, endpoints in
-    1..n, and no pair twice, which needs a set only if the pairs do not strictly
-    increase: of `pairs`, the edges as canonical tuples, if given, else of int keys.
+def _canonical(n: int, us: list[int], vs: list[int],
+               oriented: bool = False) -> tuple[list[int], list[int]] | None:
+    """(us, vs): the edges (us[i], vs[i]) of exact ints as lists of pairs u < v
+    in strictly increasing order (the lists given if `oriented` vouches every
+    us[i] < vs[i] or all are, and they already increase); or None if one pair
+    breaks an edge rule.  Every check is one pass in C over all endpoints: no
+    self-loop, endpoints in 1..n, and no pair twice, which shows, only if the
+    pairs do not already increase, as two equal neighbours among their sorted
+    keys u * (n + 1) + v.
     """
     if not oriented and not all(map(lt, us, vs)):
         if any(map(eq, us, vs)):
             return None
         # one comprehension per list: a min() or max() call per pair costs ~4x its comparison
-        us, vs, pairs = ([u if u < v else v for u, v in zip(us, vs)],
-                         [v if u < v else u for u, v in zip(us, vs)], None)
+        us, vs = ([u if u < v else v for u, v in zip(us, vs)],
+                  [v if u < v else u for u, v in zip(us, vs)])
     if us and (min(us) < 1 or max(vs) > n):
         return None
-    ordered, later = (zip(us, vs), zip(us, vs)) if pairs is None else (pairs, iter(pairs))
+    ordered, later = zip(us, vs), zip(us, vs)
     next(later, None)  # one pair ahead of ordered
-    increasing = all(map(lt, ordered, later))
-    keys = map(add, map(mul, us, repeat(n + 1)), vs) if pairs is None else pairs  # ints: untracked by GC
-    if not increasing and len(set(keys)) != len(us):
-        return None
-    return us, vs, increasing
+    if all(map(lt, ordered, later)):
+        return us, vs
+    keys = list(map(add, map(mul, us, repeat(n + 1)), vs))  # ints: untracked by GC
+    us, vs = _decoded(keys, n + 1)
+    later = iter(keys)
+    next(later, None)
+    return None if any(map(eq, keys, later)) else (us, vs)
+
+
+def _decoded(keys: list[int], w: int) -> tuple[list[int], list[int]]:
+    """The pairs (key // w, key % w) of the keys, sorted in place, as two lists
+    that share one int per vertex."""
+    keys.sort()
+    vertices = list(range(w))
+    us = list(map(vertices.__getitem__, map(floordiv, keys, repeat(w))))
+    vs = list(map(vertices.__getitem__, map(mod, keys, repeat(w))))
+    return us, vs
 
 
 def _first_fault(n: int, items: Iterable) -> EdgeError:

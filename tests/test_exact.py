@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lexid.exact
+import lexid.graph
 from lexid import (
     Code,
     Graph,
@@ -100,6 +102,20 @@ class TestMinimalize:
     def test_rejects_non_integer_members(self, members, bad):
         with pytest.raises(ValueError, match=re.escape(f"code member {bad} is not an integer")):
             minimalize(path_graph(3), members)
+
+    def test_checks_its_input_from_its_own_traces(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("is_identifying_code called")
+
+        monkeypatch.setattr(lexid.graph, "is_identifying_code", refuse)
+        monkeypatch.setattr(lexid.exact, "is_identifying_code", refuse, raising=False)
+        assert minimalize(nonminimal_grid_fixture(), range(1, 7)) == Code((2, 3, 4, 5, 6))
+        for members, message in [((2,), "input code (2,) is not an identifying code"),
+                                 ((2, 1), "input code (2, 1) is not an identifying code"),
+                                 ((0, True), "code member 0 out of range 1..3")]:
+            with pytest.raises(ValueError) as info:
+                minimalize(path_graph(3), members)
+            assert str(info.value) == message
 
     def test_member_order_does_not_matter(self):
         rng = random.Random(0)

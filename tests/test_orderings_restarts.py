@@ -301,6 +301,24 @@ class TestRunRestarts:
             run_restarts(path_graph(2), "random", restarts=5, seed=0)
         assert info.value.pair == (1, 2)
 
+    def test_twins_are_named_by_find_twins_whatever_the_first_order(self):
+        # seed 2's first random order is 2, 4, 3, 1: its run fails on the twins 3 and 4
+        g = Graph(4, [(1, 2), (3, 4)])
+        sequence = OrderingStrategy("random").sequence_for(g, SplitMix64(derive_seed(2, 0)))
+        failure = lex_code_sparse(g.neighborhood_array, sequence)
+        assert sorted((sequence[failure.k - 1], sequence[failure.j - 1])) == [3, 4]
+        with pytest.raises(TwinsError) as info:
+            run_restarts(g, "random", restarts=5, seed=2)
+        assert info.value.pair == (1, 2)
+
+    def test_a_twin_free_batch_never_looks_for_twins(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("find_twins called")
+
+        monkeypatch.setattr(lexid.restarts, "find_twins", refuse)
+        for strategy in ("random", "identity"):
+            assert run_restarts(nonminimal_grid_fixture(), strategy, restarts=3).best_cardinality <= 6
+
     def test_zero_restarts_rejected(self):
         with pytest.raises(ValueError, match="restarts"):
             run_restarts(path_graph(3), "random", restarts=0, seed=0)
