@@ -5,6 +5,7 @@ import io
 import pytest
 
 from lexid import Code, bench, fit_loglog_slope, near_square_grid
+from lexid.cli import main
 
 
 class TestHelpers:
@@ -101,3 +102,18 @@ class TestBench:
         for row in samples:
             assert float(row[5]) >= 0.0
             assert int(row[6]) > 0
+
+    def test_a_twin_free_bench_never_looks_for_twins(self, monkeypatch):
+        module = importlib.import_module("lexid.bench")
+        calls = []
+        find_twins = module.find_twins
+        monkeypatch.setattr(module, "find_twins", lambda g: calls.append(g) or find_twins(g))
+        report = bench(["grid", "path"], [16, 36], repetitions=1, seed=0)
+        assert len(report.samples) == 8 and report.skipped == ()
+        assert calls == []
+
+    def test_a_twin_instance_keeps_its_skipped_row(self, capsys):
+        assert main(["bench", "--families", "path", "--sizes", "2,8", "--reps", "1"]) == 0
+        rows = capsys.readouterr().out.splitlines(keepends=True)
+        assert [row for row in rows if row.startswith("skipped")] == ["skipped,path,2,,,,,twins 1 2\r\n"]
+        assert [row.split(",")[2] for row in rows if row.startswith("sample")] == ["8", "8"]
