@@ -7,40 +7,31 @@ indices define the processing order.
 One helper reads lines from the start up to the first significant one, which
 both parsers take as the header and detect_format reads for its tag.  A parse
 reads the body after it one piece at a time, each piece the lines that begin
-within PIECE_CHARS characters of its start.  If the graph gets no table of
-labels, a canonical piece (only ASCII digits, single spaces and line breaks;
-in DIMACS each line led by 'e ') is decoded as one JSON array by the C
-scanner, which makes its ints with no str tokens.  Every other piece is split:
-once, its line breaks marked, or, if it holds a blank line, a '#' or (in
-DIMACS) a 'c', into lines first to drop blank and comment lines; its tokens go
-through int() or the table.  A graph with a table is only split: its lookups
-share one int per label, where the scanner makes one per endpoint and is
-slower.  Each piece's endpoints, all exact ints, are appended to two int
-lists, which Graph takes with no type pass.  So beside the text, the endpoint
-lists and the Graph, a parse holds the tokens or the array of one piece, never
-of the whole file.  Only when a check fails is the whole text split into
-numbered lines, to name the first fault.
+within PIECE_CHARS characters of its start, by one of two readers.  A
+canonical piece (only ASCII digits, single spaces and line breaks; in DIMACS
+each line led by 'e ') is decoded as one JSON array by the C scanner, which
+reads its numbers with no str tokens, or, if the graph gets a table of labels,
+looks each up in the table.  Any other piece goes through its format's
+per-line rules, the walk that names a fault.  Each piece's endpoints, all
+exact ints, are appended to two int lists, which Graph takes with no type
+pass.  So beside the text, the endpoint lists and the Graph, a parse holds the
+array or the lines of one piece, never of the whole file.  Only when a check
+fails is the whole text split into numbered lines, to name the first fault.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from functools import partial
-from itertools import filterfalse
+from itertools import chain
 from operator import lt
 from typing import Callable
 
 from .graph import EdgeError, Graph
 
-# a '#' comment line; blank lines are dropped first
-_HASH_COMMENT = re.compile(r"\s*#").match
-# a DIMACS 'c' comment line: 'c' as its first token
-_C_COMMENT = re.compile(r"\s*c(?:\s|$)").match
-
-# Characters of body text tokenized at a time.  A piece's lines and tokens take
-# a few times its size; each piece also costs a few Python calls, which must
-# stay far below one per 100 edges.
+# Characters of body text read at a time.  A piece's array or lines take a few
+# times its size; each piece also costs a few Python calls, which must stay far
+# below one per 100 edges.
 PIECE_CHARS = 1 << 16
 
 _decode = json.JSONDecoder().decode
@@ -73,36 +64,25 @@ def _first_line(text: str, tag: str = "") -> tuple[int, str, list[str], int] | N
     return None
 
 
-def _content(piece: str, tag: str) -> list[str]:
-    """The significant lines of a piece, unstripped; '#' (DIMACS: and 'c')
-    comments are looked for only if the piece has a '#' (a 'c')."""
-    lines = list(filter(str.strip, piece.split("\n")))
-    if "#" in piece:
-        lines = list(filterfalse(_HASH_COMMENT, lines))
-    return list(filterfalse(_C_COMMENT, lines)) if tag and "c" in piece else lines
+def _significant(lines: list[str], first: int) -> list[tuple[int, str]]:
+    """(number, stripped line) of each of `lines`, numbered from `first`, that
+    is neither blank nor a '#' comment."""
+    numbered = enumerate(map(str.strip, lines), first)
+    return [(k, line) for k, line in numbered if line and line[0] != "#"]
 
 
 def _labels(n: int, m: int) -> dict[str, int] | None:
     """A table of the decimal strings of the labels 0..n, or None.
 
-    The table is made when the labels are few and each comes up eight times on
-    average or more among the 2m endpoints the header declares: looking tokens
-    up in it is 3x faster than int() on G(512, 0.29).  A table of more than
-    ~4096 labels falls out of the cache and loses to int() on random labels.
+    The scanner of a graph with a table looks each endpoint up in it, so the
+    endpoints of a label share one int where the plain scanner makes one per
+    endpoint, and a label past n is refused there.  The table is made when the
+    labels are few and each comes up eight times on average or more among the
+    2m endpoints the header declares.
     """
     if n <= 4096 and 8 * (n + 1) <= 2 * m:
         return dict(zip(map(str, range(n + 1)), range(n + 1)))
     return None
-
-
-def _ints(tokens: list[str], labels: dict[str, int] | None) -> list[int]:
-    """int() of every token, looked up in the table `labels` if there is one."""
-    if labels is not None:
-        try:
-            return list(map(labels.__getitem__, tokens))
-        except KeyError:
-            pass
-    return list(map(int, tokens))
 
 
 def _parse_int(token: str, what: str, line: int) -> int:
@@ -147,8 +127,7 @@ def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, text: str, 
             return Graph._from_int_endpoints(n, *ends, oriented)
         except EdgeError:
             pass
-    numbered = enumerate(map(str.strip, text.split("\n")[number:]), number + 1)
-    significant = [(k, line) for k, line in numbered if line and line[0] != "#"]  # not blank or '#'
+    significant = _significant(text.split("\n")[number:], number + 1)
     pairs, numbers, fault = [], [], None
     try:
         walk(significant, pairs, numbers)
@@ -164,15 +143,17 @@ def _graph(n: int, m: int, ends: tuple[list[int], list[int]] | None, text: str, 
     raise ParseError(f"{header} declares {m} edges but {len(pairs)} found", last)
 
 
-def _ends(text: str, start: int, n: int, m: int, tag: str) -> tuple[list[int], list[int]] | None:
+def _ends(text: str, start: int, n: int, m: int, tag: str, walk: _Walk) -> tuple[list[int], list[int]] | None:
     """The endpoint lists of the body text[start:] of a normalized text, or
     None if one of its significant lines breaks a line rule.
 
     Each line must be a 'u v' line (tag "") or an 'e u v' line or a 'c' comment
     (tag "e").  The body is read one piece at a time: the lines that begin
     within PIECE_CHARS characters of its start, less the line break after them.
+    A piece the scanner refuses goes through `walk`, the format's line rules.
     """
     labels = _labels(n, m)
+    decode = _decode if labels is None else json.JSONDecoder(parse_int=labels.__getitem__).decode
     us: list[int] = []
     vs: list[int] = []
     stop = len(text) - text.endswith("\n")
@@ -182,36 +163,24 @@ def _ends(text: str, start: int, n: int, m: int, tag: str) -> tuple[list[int], l
             end = stop
         piece = text[start:end]
         start = end + 1
-        ends = _scanned(piece, tag) if labels is None else None
-        if ends is None and (ends := _split(piece, tag, labels)) is None:
-            return None
+        if (ends := _scanned(piece, tag, decode)) is None:
+            pairs: list[tuple[int, int]] = []
+            try:
+                walk(_significant(piece.split("\n"), 1), pairs, [])
+            except ParseError:
+                return None
+            ends = list(chain.from_iterable(pairs))
         us += ends[0::2]
         vs += ends[1::2]
     return us, vs
 
 
-def _split(piece: str, tag: str, labels: dict[str, int] | None) -> list[int] | None:
-    """The endpoints of a piece, split into tokens and converted by _ints, or
-    None if one of its significant lines breaks a line rule."""
-    tokens = None
-    if "\n\n" not in piece and "#" not in piece and not (tag and "c" in piece):
-        tokens = _tokens(piece.replace("\n", " ; "), piece.count("\n") + 1, tag)
-    if tokens is None:  # blank or comment lines, or a fault
-        lines = _content(piece, tag)
-        tokens = _tokens(" ; ".join(lines), len(lines), tag)
-    if tokens is None:
-        return None
-    try:
-        return _ints(tokens, labels)
-    except ValueError:
-        return None
-
-
-def _scanned(piece: str, tag: str) -> list[int] | None:
-    """The endpoints of a canonical piece, decoded as one JSON array with null
-    for each line break, or None.  Its L lines must give 3L - 1 entries with
-    every third from index 2 a null.  JSON refuses the other spellings int()
-    reads (leading zeros, signs, '_'), so a piece it takes gives _split's ints."""
+def _scanned(piece: str, tag: str, decode: Callable[[str], list]) -> list[int] | None:
+    """The endpoints of a canonical piece, decoded by `decode` as one JSON
+    array with null for each line break, or None.  Its L lines must give 3L - 1
+    entries with every third from index 2 a null.  JSON refuses the other
+    spellings int() reads (leading zeros, signs, '_'), so a piece it takes
+    gives the ints of the line rules."""
     lines = piece.count("\n") + 1
     if tag:
         if not piece.startswith("e ") or piece.count("\ne ") != lines - 1:
@@ -220,41 +189,13 @@ def _scanned(piece: str, tag: str) -> list[int] | None:
     if piece.encode().translate(None, b"0123456789 \n"):
         return None
     try:
-        ends = _decode("[" + piece.replace(" ", ",").replace("\n", ",null,") + "]")
-    except ValueError:  # an empty token, a leading zero or more than 4300 digits
+        ends = decode("[" + piece.replace(" ", ",").replace("\n", ",null,") + "]")
+    except (ValueError, KeyError):  # an empty token, a leading zero, > 4300 digits, or a label past n
         return None
     if len(ends) != 3 * lines - 1 or ends[2::3].count(None) != lines - 1:
         return None
     del ends[2::3]
     return ends
-
-
-# _tokens splits L lines at once, with the marker token ";" between each two (a
-# piece's line breaks replaced by it, or its filtered lines joined by it), and
-# checks that the L - 1 markers fell into their slots, every third token
-# (DIMACS: fourth) from index 2 (DIMACS: 3) of width * L - 1 tokens (of none if
-# L = 0).  That is as strict as splitting each line.  Every token outside the slots must convert
-# to an int (or, in DIMACS, be the "e" of its line), and ";" does neither, so
-# the markers can only sit in the slots.  They fill them only if every line has
-# exactly 2 (DIMACS: 3) tokens, and a literal ";" in a line or a marker next to
-# a blank line then falls outside the slots and fails.  The token count alone is
-# not enough: the DIMACS lines "e 1 2 e" and "3 4" have as many tokens as two
-# edge lines.
-
-
-def _tokens(marked: str, lines: int, tag: str) -> list[str] | None:
-    """The endpoint tokens of `lines` marked lines that are all 'u v' lines
-    (tag "") or all 'e u v' lines (tag "e"), or None if one breaks a line rule."""
-    width = 4 if tag else 3
-    tokens = marked.split()
-    if len(tokens) != max(width * lines - 1, 0) or set(tokens[width - 1::width]) - {";"}:
-        return None
-    del tokens[width - 1::width]
-    if tag:
-        if set(tokens[0::3]) - {tag}:
-            return None
-        del tokens[0::3]
-    return tokens
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -269,10 +210,11 @@ def parse_edge_list(text: str) -> Graph:
     if len(tokens) != 2:
         raise ParseError(f"header must be 'n m', got {line!r}", number)
     n, m = _parse_counts(tokens[0], tokens[1], number)
-    ends = _ends(text, body, n, m, "")
+    walk = partial(_edge_list_walk, m=m)
+    ends = _ends(text, body, n, m, "", walk)
     if ends is not None and not all(map(lt, *ends)):
         ends = None
-    return _graph(n, m, ends, text, number, partial(_edge_list_walk, m=m), "header", oriented=True)
+    return _graph(n, m, ends, text, number, walk, "header", oriented=True)
 
 
 def _edge_list_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]], numbers: list[int],
@@ -308,7 +250,7 @@ def parse_dimacs(text: str) -> Graph:
     if len(tokens) != 4 or tokens[1] != "edge":
         raise ParseError(f"problem line must be 'p edge n m', got {line!r}", number)
     n, m = _parse_counts(tokens[2], tokens[3], number)
-    return _graph(n, m, _ends(text, body, n, m, "e"), text, number, _dimacs_walk, "problem line")
+    return _graph(n, m, _ends(text, body, n, m, "e", _dimacs_walk), text, number, _dimacs_walk, "problem line")
 
 
 def _dimacs_walk(significant: list[tuple[int, str]], pairs: list[tuple[int, int]],

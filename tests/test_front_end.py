@@ -1,5 +1,5 @@
 """The parsers and Graph against the streaming reference front end, with the
-body tokenized in pieces of any size, and the front end's cost: no allocation
+body read in pieces of any size, and the front end's cost: no allocation
 sized by n before a view, transient memory of a few pieces, and no per-edge
 calls."""
 
@@ -15,6 +15,7 @@ from lexid import (
     lex_code_dense, lex_code_sparse, parse_graph, path_graph, to_dimacs, to_edge_list,
 )
 from lexid.cli import main
+from lexid.generate import FAMILIES
 from lexid.graph import EdgeError
 
 from calls import python_calls, traced_peak
@@ -245,23 +246,29 @@ def test_a_fault_in_the_last_piece_is_named_at_its_line(fmt, fault):
     test_the_bulk_parse_keeps_the_line_rules(fmt, text)
 
 
+def _refuse_the_line_walks(monkeypatch) -> None:
+    """Make the per-line rules of both formats fail the test if a body reaches them."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("line walk reached")
+
+    monkeypatch.setattr(lexid.graphio, "_edge_list_walk", refuse)
+    monkeypatch.setattr(lexid.graphio, "_dimacs_walk", refuse)
+
+
 @pytest.mark.parametrize("final_break", [True, False])
 @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
 @pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
-def test_a_clean_body_is_never_split_into_lines(monkeypatch, serialize, line_end, final_break):
-    # each piece of a file with no blank or comment line is split once, the
-    # last one too, whether the file ends with a line break or not; the path
-    # takes the JSON route, G(512, 0.29) its table of labels and the split route
-    content = lexid.graphio._content
-    calls = []
-    monkeypatch.setattr(lexid.graphio, "_content", lambda *args: calls.append(1) or content(*args))
+def test_a_canonical_body_never_reaches_the_line_walk(monkeypatch, serialize, line_end, final_break):
+    # every piece of a canonical file goes through the JSON scanner, the last
+    # one too, whether the file ends with a line break or not; the path gets no
+    # table of labels, G(512, 0.29) gets one
+    _refuse_the_line_walks(monkeypatch)
     for g in (path_graph(20000), gnp_graph(512, 0.29, seed=0)):
         text = serialize(g).replace("\n", line_end)
         if not final_break:
             text = text[:-len(line_end)]
         assert len(text) > 3 * lexid.graphio.PIECE_CHARS
         assert parse_graph(text) == g
-    assert calls == []
 
 
 # Bodies with blank lines, whitespace-only lines, '#' lines, DIMACS 'c' lines
@@ -298,7 +305,7 @@ def test_noisy_bodies_keep_the_reference_results(monkeypatch, piece_chars):
         test_the_bulk_parse_keeps_the_line_rules(fmt, text)
 
 
-# Lines the JSON scanner must leave to the split route, in graphs with no table
+# Lines the JSON scanner must leave to the line walk, in graphs with no table
 # of labels, whose other lines it reads: endpoints that int() takes and JSON
 # refuses ('01', '00', '+1', '1_0', an Arabic-Indic three), JSON values that
 # are not vertices, tokens of 4300 digits (int()'s limit) and 4301, and lines
@@ -329,33 +336,59 @@ def test_spellings_off_the_json_route_keep_the_reference_results(monkeypatch, pi
         test_the_bulk_parse_keeps_the_line_rules(fmt, text)
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
-@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
-def test_a_canonical_body_without_a_label_table_is_never_tokenized(monkeypatch, serialize, line_end):
-    # every piece of a path's file goes through the JSON scanner, none through _tokens
-    calls = {"_tokens": 0, "_decode": 0}
-    for name in calls:
-        def counting(*args, name=name, inner=getattr(lexid.graphio, name)):
-            calls[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(lexid.graphio, name, counting)
-    g = path_graph(20000)
-    text = serialize(g).replace("\n", line_end)
-    assert len(text) > 3 * lexid.graphio.PIECE_CHARS
-    assert lexid.graphio._labels(g.n, len(g.edges)) is None
-    assert parse_graph(text) == g
-    assert calls["_tokens"] == 0 and calls["_decode"] >= 4
+@pytest.mark.parametrize("output_format", ["edgelist", "dimacs"])
+def test_the_output_of_gen_never_reaches_the_line_walk(capsys, output_format):
+    # path, cycle and grid get no table of labels; gnp and the hypercube get one
+    families = [["path", "20000"], ["cycle", "20000"], ["grid", "100", "100"], ["gnp", "512", "0.29"],
+                ["hypercube", "10"], ["fixture"]]
+    assert {family[0] for family in families} == {*FAMILIES, "fixture"}
+    tables = []
+    for family in families:
+        assert main(["gen", *family, "--output-format", output_format]) == 0
+        text, err = capsys.readouterr()
+        assert err == ""
+        want = parse_graph(text)
+        tables.append(lexid.graphio._labels(want.n, len(want.edges)) is not None)
+        with pytest.MonkeyPatch.context() as patch:
+            _refuse_the_line_walks(patch)
+            assert parse_graph(text) == want
+    assert tables == [False, False, False, True, True, False]
 
 
 @pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
-def test_a_graph_with_a_label_table_never_calls_the_json_decoder(monkeypatch, serialize):
-    def refuse(text):
-        raise AssertionError("JSON decoder called")
-
-    monkeypatch.setattr(lexid.graphio, "_decode", refuse)
-    g = gnp_graph(300, 0.2, seed=3)
+def test_a_label_table_graph_is_scanned_to_one_int_per_label(monkeypatch, serialize):
+    _refuse_the_line_walks(monkeypatch)
+    g = gnp_graph(512, 0.29, seed=0)
     assert lexid.graphio._labels(g.n, len(g.edges)) is not None
-    assert parse_graph(serialize(g)) == g
+    parsed = parse_graph(serialize(g))
+    assert parsed == g
+    assert len(set(map(id, parsed._us + parsed._vs))) <= g.n + 1
+
+
+@pytest.mark.parametrize("at", ["first", "middle", "last"])
+@pytest.mark.parametrize("endpoint", ["0", "n + 1"])
+@pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+def test_a_label_table_graph_with_an_endpoint_out_of_range_gets_the_reference_line(fmt, endpoint, at):
+    # the table holds the labels 0..n: a 0 is looked up and Graph refuses it,
+    # an n + 1 is refused by the scanner and its piece goes through the walk;
+    # G(300, 0.2) takes two pieces
+    g = gnp_graph(300, 0.2, seed=3)
+    n = g.n
+    lines = (to_dimacs if fmt == "dimacs" else to_edge_list)(g).split("\n")
+    assert lexid.graphio._labels(n, len(g.edges)) is not None
+    i = {"first": 1, "middle": len(lines) // 2, "last": len(lines) - 2}[at]
+    tokens = lines[i].split(" ")
+    if endpoint == "0":
+        tokens[-2] = "0"
+    else:
+        tokens[-1] = str(n + 1)
+    lines[i] = " ".join(tokens)
+    text = "\n".join(lines)
+    assert len(text) > lexid.graphio.PIECE_CHARS
+    with pytest.raises(ParseError) as want:
+        _reference(fmt, text)
+    assert want.value.line == i + 1
+    test_the_bulk_parse_keeps_the_line_rules(fmt, text)
 
 
 @st.composite
@@ -561,8 +594,8 @@ def test_nothing_reads_the_pairs_tuple(monkeypatch, tmp_path, capsys):
 
 @st.composite
 def dense_texts(draw):
-    """(format, text) of a graph dense enough that the parser converts its
-    tokens through its table of labels, with any line-break style."""
+    """(format, text) of a graph dense enough that the parser looks its
+    endpoints up in its table of labels, with any line-break style."""
     g = gnp_graph(draw(st.integers(16, 40)), draw(st.sampled_from([0.7, 1.0])), draw(st.integers(0, 9)))
     fmt = draw(st.sampled_from(["edgelist", "dimacs"]))
     text = (to_dimacs if fmt == "dimacs" else to_edge_list)(g)
@@ -640,13 +673,13 @@ def test_minimum_refuses_a_huge_header_before_any_view(tmp_path, capsys):
     pytest.param(to_dimacs, "grid", id="to_dimacs-no-table"),
 ])
 def test_the_front_end_makes_no_call_per_edge(serialize, graph):
-    # G(300, 0.2) takes the table of labels; the 64x64 grid does not, and its
-    # pieces go through the JSON scanner (31 calls in all)
+    # G(300, 0.2) gets a table of labels and the 64x64 grid does not; the
+    # pieces of both go through the JSON scanner
     g = gnp_graph(300, 0.2, seed=3) if graph == "gnp" else grid_graph(64, 64)
     text = serialize(g)
     m = len(g.edges)
     assert m > 8000
     assert (lexid.graphio._labels(g.n, m) is None) == (graph == "grid")
-    parse_graph(text)  # compiles and caches the module's regular expressions
+    parse_graph(text)  # the first call's one-time costs are not counted
     calls = python_calls(lambda: parse_graph(text).neighborhood_array)
     assert calls < m / 100
