@@ -65,11 +65,10 @@ def _add_graph_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
-    if args.graph == "-":
-        text = sys.stdin.read()
-    else:
-        text = Path(args.graph).read_text(encoding="utf-8")
-    return parse_graph(text.removeprefix("\ufeff"), args.input_format)  # a UTF-8 byte-order mark
+    # bytes from either source, decoded here: stdin's own encoding follows the locale
+    raw = sys.stdin.buffer.read() if args.graph == "-" else Path(args.graph).read_bytes()
+    text = raw.decode("utf-8").removeprefix("\ufeff")  # a UTF-8 byte-order mark
+    return parse_graph(text, args.input_format)
 
 
 def _int_list(raw: str, what: str) -> tuple[int, ...]:

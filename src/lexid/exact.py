@@ -76,7 +76,8 @@ def minimalize(g: Graph, code: Code | Iterable[int]) -> Code:
     `present` holds n + 1 traces.  Deleting v only drops v from the traces of
     N(v); those all held v, so the new ones differ from each other and from
     the old ones.  The deletion stands iff none of the new traces is in
-    `present`.
+    `present`, so a trial is O(deg v + 1) set operations.  A member that is
+    not an int in 1..n raises ValueError first, as in is_identifying_code.
     """
     members = tuple(code)
     kept = set(_members(members, g.n, "code member"))
@@ -111,7 +112,7 @@ def greedy_code(g: Graph) -> RunOutcome:
     N(v) ∩ C, and label 0 is the empty trace.  If N(u) holds c_k of the
     size_k vertices of class k, u meets the c_0 unmet N(v) of label 0 and
     separates c_k·(size_k − c_k) unmet pairs of each class, so a step costs
-    O(n + m).
+    O(n + m), and beside the sorted lists greedy keeps O(n): no bit matrix.
     """
     twins = find_twins(g)
     if twins is not None:

@@ -3,7 +3,7 @@
 Every generator is a pure function of its parameters (and seed, for G(n,p)),
 so instances are bit-reproducible anywhere.  G(n,p) draws one uniform double
 per vertex pair, pairs visited in lexicographic order, from the splitmix64
-stream documented in the README, a row of pairs at a time.
+stream of lexid.rng, a row of pairs at a time.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self._us == other._us and self._vs == other._vs
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
@@ -271,6 +271,7 @@ def is_identifying_code(g: Graph, code: Code | Iterable[int]) -> bool:
     ascending order; closed neighborhoods are symmetric, so each trace ends
     up as N(u) ∩ C, ascending, in O(n + Σ_c (deg(c) + 1)) steps.  A member
     that is not an int in 1..n raises ValueError, the first in input order.
+    It shares no code with the constructors, so it can judge them.
     """
     n = g.n
     given = _members(code, n, "code member")

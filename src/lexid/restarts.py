@@ -10,7 +10,8 @@ constructed once and repeated for every index.  Each ordering runs one body:
 sequence_for builds a permutation, the one check of an explicit order, and the
 run takes it and its inverse unchecked.
 
-Every restart runs in the calling process, one after another.  A run names
+Every restart runs in the calling process, one after another, so the
+process's own resource usage covers a whole batch.  A run names
 its codewords by position, so the loop keeps the first strictly smallest code
 in that form and maps only that code back to the original labels, once; the
 best code is that of the first restart reaching the minimum.
@@ -30,7 +31,8 @@ from .sparse import _run
 
 @dataclass(frozen=True)
 class RestartReport:
-    """Outcome of a restart batch; best_cardinality is the min over restarts."""
+    """Outcome of a restart batch; best_cardinality is the min over restarts.
+    A restart's elapsed seconds include building its order."""
 
     strategy: str
     best_code: Code

@@ -124,7 +124,8 @@ class SplitMix64:
         block whose largest output is below 2**64 - hi, for its highest index
         hi, keeps every draw.  Otherwise the exact limits find the block's
         first rejected draw: the block ends there, the rejected output is
-        consumed, and the next block draws that index again.
+        consumed, and the next block draws that index again.  A draw is
+        rejected with probability below len(items) / 2**64.
         """
         state, hi = self._state, len(items) - 1
         while hi > 0:

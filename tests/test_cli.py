@@ -39,6 +39,11 @@ from calls import traced_peak
 from oracles import relabeled_array
 
 
+def _stdin(text: str, encoding: str = "utf-8") -> io.TextIOWrapper:
+    """A standard input whose bytes are text in UTF-8 and whose own decoding is `encoding`."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding=encoding)
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     path = tmp_path / "fixture.txt"
@@ -189,9 +194,14 @@ class TestCodeCommand:
         assert capsys.readouterr().out == via_env
 
     def test_reads_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+        monkeypatch.setattr("sys.stdin", _stdin("3 2\n1 2\n2 3\n"))
         assert main(["code", "-"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "1 3"
+
+    def test_reads_stdin_as_utf8_under_any_locale(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", _stdin("\ufeff3 2\n1 2\n2 3\n", encoding="latin-1"))
+        assert main(["code", "-"]) == 0
+        assert capsys.readouterr() == ("1 3\n2\n", "")
 
     def test_dimacs_input_autodetected(self, tmp_path, capsys):
         path = tmp_path / "p3.col"
@@ -219,7 +229,7 @@ class TestCodeCommand:
     def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, capsys, monkeypatch, text, stdin):
         def run(text):
             if stdin:
-                monkeypatch.setattr("sys.stdin", io.StringIO(text))
+                monkeypatch.setattr("sys.stdin", _stdin(text))
                 return main(["code", "-"]), capsys.readouterr()
             path = tmp_path / "graph.txt"
             path.write_text(text, encoding="utf-8")

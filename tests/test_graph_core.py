@@ -59,6 +59,11 @@ class TestGraphConstruction:
             Graph(3, [5])
         assert str(info.value) == str(unpacking.value)
 
+    def test_equality_ignores_the_given_edge_order_and_builds_no_edge_set(self):
+        g, h = Graph(4, [(3, 4), (2, 1), (2, 3)]), Graph(4, [(1, 2), (4, 3), (2, 3)])
+        assert g == h and g != Graph(4, [(1, 2), (2, 3)]) and g != Graph(5, g.pairs)
+        assert "edges" not in g.__dict__ and "edges" not in h.__dict__
+
     def test_never_equal_to_another_type(self):
         assert Graph(3).__eq__("x") is NotImplemented
         assert (Graph(3) == "x") is False
