@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .dense import DenseWorkTally, lex_code_dense
-from .generate import sized_instance
+from .generate import FAMILIES, _check_gnp_p, sized_instance
 from .graph import TwinFailure, find_twins
 from .orderings import OrderingStrategy, apply_sequence
 from .rng import SplitMix64, derive_seed
@@ -128,10 +128,16 @@ def bench(
     counters, plus wall-time medians over `repetitions` uninstrumented runs.
     The instrumented dense run comes first; if it fails on twins, the instance
     is skipped with find_twins' pair.  Dense and sparse outputs are
-    cross-checked on every instance.
+    cross-checked on every instance.  An unknown family, or with gnp a gnp_p
+    outside [0, 1], raises ValueError before any instance is built.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    for family in families:
+        if family not in FAMILIES:
+            raise ValueError(f"unknown bench family {family!r}; choose from {', '.join(FAMILIES)}")
+    if "gnp" in families:
+        _check_gnp_p(gnp_p)
     samples: list[BenchSample] = []
     skipped: list[tuple[str, int, str]] = []
     for family in families:

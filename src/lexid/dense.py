@@ -5,9 +5,8 @@ The scan keeps its own coverage rows, tuples of codewords, and reads the
 vertices a codeword covers from the sorted lists the matrix was derived from
 (the matrix is symmetric), so a run holds the n²-bit matrix plus
 O(n + Σ_{c∈C}(deg c + 1)).  The model tally still charges the paper's
-whole-row tests and its copy of a whole matrix column.  Given a processing
-order, the separation is the smallest position among the set bits of the two
-rows' difference, so no matrix in that order is built.
+whole-row tests and its copy of a whole matrix column.  Only an index-order
+run reads the matrix; in any other order the separation is scan.in_order.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import ClosedNeighborhoodMatrix, RunOutcome, _positions
-from .scan import lex_scan
+from .scan import in_order, lex_scan
 
 
 @dataclass
@@ -81,18 +80,7 @@ def lex_code_dense(
     else:
         position = _positions(sequence, n)
         order = [0, *sequence]
-
-        def separate(j: int, k: int) -> int:
-            # bit u - 1 stands for vertex u: keep the smallest position[u] set
-            diff = rows_b[order[j]] ^ rows_b[order[k]]
-            l = n + 1
-            while diff:
-                low = diff & -diff
-                diff ^= low
-                p = position[low.bit_length()]
-                if p < l:  # a comparison, not min(): half the time of the loop
-                    l = p
-            return l
+        separate = in_order(b._lists, order, position)
 
     charge = None
     if tally is not None:

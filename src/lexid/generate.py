@@ -47,6 +47,11 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def _check_gnp_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
+
+
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
     """G(n,p): each pair (u, v), u < v, kept independently with probability p.
 
@@ -58,8 +63,7 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     """
     if n < 1:
         raise ValueError(f"gnp needs n >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
+    _check_gnp_p(p)
     rng = SplitMix64(seed)
     limit = math.ceil(p * 2**53) << 11
     labels = list(range(n + 1))  # one int object per label, shared by all its endpoints

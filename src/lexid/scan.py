@@ -19,8 +19,12 @@ the member of smallest position in N(v_j) Δ N(v_k) becomes a codeword (the
 empty N(v_0) makes that the member of smallest position in N(v_j)), and an
 empty difference means the two are twins.  The steps depend on the graph
 only through positions, so a run in any order returns, in positions, what
-the identity-order run on the graph relabeled by that order returns.  Only
-the separation differs between the constructors, so it is all they supply.
+the identity-order run on the graph relabeled by that order returns.  The
+separation is all a constructor supplies.  In index order it is where the
+paper's algorithms differ: min2 reads matrix rows, min3 walks sorted lists.
+In any other order both use in_order, which sorts the positions of N(v_j)
+and N(v_k) together; the first entry not paired with an equal one is the
+smallest position in the difference, and no relabeled view is built.
 The rows hold Σ_{c∈C}(deg c + 1) codewords in all, so beside the view a run
 keeps O(n + Σ_{c∈C}(deg c + 1)) memory.
 """
@@ -73,3 +77,21 @@ def lex_scan(
                     index[new] = index.pop(row)
             index[x[v]] = j
     return Code(tuple(sorted(code)))
+
+
+def in_order(lists: tuple[tuple[int, ...], ...], order: Sequence[int],
+             position: Sequence[int]) -> Callable[[int, int], int]:
+    """The separate that lex_scan takes for the same lists, order and position."""
+    n = len(lists) - 1
+    rank = position.__getitem__
+
+    def separate(j: int, k: int) -> int:
+        if not k:
+            return min(map(rank, lists[order[j]]))
+        both = sorted(map(rank, lists[order[j]] + lists[order[k]]))
+        i, last = 0, len(both) - 1
+        while i < last and both[i] == both[i + 1]:
+            i += 2
+        return both[i] if i <= last else n + 1
+
+    return separate

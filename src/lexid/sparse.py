@@ -3,13 +3,8 @@
 The lists supply the separation; the scan keeps the coverage rows, so a run
 holds the lists plus O(n + Σ_{c∈C}(deg c + 1)) and never an n²-bit matrix,
 which is the saving over the bit-matrix constructor on bounded-degree graphs.
-
-Given a processing order, the scan reads the lists by original vertex and
-ranks their members by position, so no relabeled copy of the lists is built:
-the separation is the smallest position in N(v), or the first position that
-only one of N(v) and N(u) holds, found by sorting the positions of both lists
-together.  In the identity order it is the head of N(v), or the synchronized
-walk over the two sorted lists.
+In index order the separation is the head of N(v_j), or the synchronized
+walk over the two sorted lists; in any other order it is scan.in_order.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graph import NeighborhoodArray, RunOutcome, _positions
-from .scan import lex_scan
+from .scan import in_order, lex_scan
 
 
 @dataclass
@@ -103,22 +98,9 @@ def _run(a: NeighborhoodArray, order: list[int] | None, position: list[int] | No
         order = position = list(range(n + 1))
 
         def separate(j: int, k: int) -> int:
-            # the head of the sorted N(v_j), or the walk's first difference when k > 0
             return _min3_walk(lists[j], lists[k], n) if k else lists[j][0]
     else:
-        rank = position.__getitem__
-
-        def separate(j: int, k: int) -> int:
-            if not k:
-                return min(map(rank, lists[order[j]]))
-            # the positions of both lists, sorted: a member of both is two equal
-            # entries side by side, so the first entry left unpaired is the
-            # smallest position in N(v_j) Δ N(v_k); with none the two are twins
-            both = sorted(map(rank, lists[order[j]] + lists[order[k]]))
-            i, last = 0, len(both) - 1
-            while i < last and both[i] == both[i + 1]:
-                i += 2
-            return both[i] if i <= last else n + 1
+        separate = in_order(lists, order, position)
 
     charge = None
     if tally is not None:

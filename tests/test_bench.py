@@ -83,6 +83,21 @@ class TestBench:
         report = bench(["gnp"], [24], repetitions=1, seed=5, gnp_p=0.4)
         assert {s.algorithm for s in report.samples} <= {"dense", "sparse"}
 
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 2.0, -0.1])
+    def test_rejects_a_bad_gnp_p_before_any_instance(self, p, monkeypatch):
+        module = importlib.import_module("lexid.bench")
+        monkeypatch.setattr(module, "sized_instance", None)  # building any instance would fail
+        with pytest.raises(ValueError) as info:
+            bench(["grid", "gnp"], [8], repetitions=1, gnp_p=p)
+        assert str(info.value) == f"gnp needs 0 <= p <= 1, got {p}"
+        bench(["grid"], [], gnp_p=p)  # p matters only to gnp
+
+    def test_unknown_family_fails_before_any_instance(self, monkeypatch):
+        module = importlib.import_module("lexid.bench")
+        monkeypatch.setattr(module, "sized_instance", None)
+        with pytest.raises(ValueError, match="^unknown bench family 'torus'; choose from path, "):
+            bench(["grid", "torus"], [8], repetitions=1)
+
     def test_rejects_bad_repetitions(self):
         with pytest.raises(ValueError, match="repetitions"):
             bench(["grid"], [16], repetitions=0)

@@ -35,7 +35,8 @@ def grid():
     # degrees below stay those of the codewords
     (lambda a: lex_code_sparse(a, range(1, a.n + 1)), lambda g: g.neighborhood_array),
     (lex_code_dense, lambda g: ClosedNeighborhoodMatrix(g.neighborhood_array)),
-], ids=["sparse", "sparse-ordered", "dense"])
+    (lambda b: lex_code_dense(b, range(1, b.n + 1)), lambda g: ClosedNeighborhoodMatrix(g.neighborhood_array)),
+], ids=["sparse", "sparse-ordered", "dense", "dense-ordered"])
 def test_a_constructor_makes_at_most_two_calls_per_codeword(grid, construct, view):
     rows = view(grid)
     code = construct(rows)

@@ -486,6 +486,11 @@ class TestBenchCommand:
             "choose from path, cycle, grid, gnp, hypercube\n"
         )
 
+    @pytest.mark.parametrize("p", ["2", "nan", "-0.5"])
+    def test_bad_gnp_p_fails_before_any_instance(self, p, capsys):
+        assert main(["bench", "--families", "gnp", "--gnp-p", p, "--sizes", "8,16"]) == 1
+        assert capsys.readouterr() == ("", f"lexid: error: gnp needs 0 <= p <= 1, got {float(p)}\n")
+
     def test_bad_sizes_message(self, capsys):
         assert main(["bench", "--sizes", "4,x"]) == 1
         captured = capsys.readouterr()

@@ -10,6 +10,7 @@ from lexid import (
     Code,
     Graph,
     TwinFailure,
+    apply_sequence,
     derive_seed,
     find_twins,
     grid_graph,
@@ -21,6 +22,8 @@ from lexid import (
     path_graph,
 )
 from lexid.dense import DenseWorkTally
+from lexid.graph import _positions
+from lexid.scan import in_order
 from lexid.sparse import SparseWorkTally, _run
 
 from calls import scan_steps
@@ -233,6 +236,22 @@ class TestProcessingOrder:
         assert (scan_steps(_run, a, order=order, position=position, tally=got)
                 == scan_steps(lex_code_sparse, a, sequence=sequence, tally=expected))
         assert got == expected
+
+    @with_and_without_twins
+    @given(data=st.data())
+    @settings(max_examples=200)
+    def test_the_ordered_separation_at_every_pair(self, kind, data):
+        # every pair, not only the ones a scan reaches: h is the graph the ordered run stands for
+        g = data.draw(kind)
+        sequence = shuffled(g.n, data.draw(st.randoms(use_true_random=False)))
+        h = apply_sequence(g, sequence)
+        separate = in_order(g.neighborhood_array._lists, [0, *sequence], _positions(sequence, g.n))
+        nbhd = neighborhood_sets(h)
+        for j in range(1, g.n + 1):
+            assert separate(j, 0) == min(nbhd[j])
+            for k in range(1, j):
+                assert separate(j, k) == brute_min_sym_diff(h, j, k)
+                assert (separate(j, k) == g.n + 1) == (nbhd[j] == nbhd[k])
 
     def test_twins_are_reported_by_position(self):
         g = Graph(4, [(1, 2), (3, 4)])  # twins {1, 2} and {3, 4}
