@@ -24,7 +24,7 @@ from .graphio import ParseError, parse_graph, to_dimacs, to_edge_list
 from .orderings import STRATEGY_KINDS, OrderingStrategy, code_to_original
 from .restarts import run_restarts
 from .rng import SplitMix64
-from .sparse import lex_code_sparse
+from .sparse import _run_ordered, lex_code_sparse
 from .dense import lex_code_dense
 
 EXIT_OK = 0
@@ -114,13 +114,15 @@ def _cmd_code(args: argparse.Namespace) -> int:
     strategy = _strategy_from_args(args)
     seed = _seed(args)  # read under every ordering, so a bad LEXID_SEED fails any code run
     identity = strategy.kind == "identity"
-    # an explicit order goes to the constructor unchecked: the constructor's check is its only one
-    sequence = range(1, g.n + 1) if identity else (
-        strategy.sequence or strategy.sequence_for(g, SplitMix64(seed)))
-    if algorithm == "dense":
-        outcome = lex_code_dense(ClosedNeighborhoodMatrix(g.neighborhood_array), None if identity else sequence)
+    if identity:
+        sequence = range(1, g.n + 1)
+        outcome = (lex_code_dense(ClosedNeighborhoodMatrix(g.neighborhood_array)) if args.dense
+                   else lex_code_sparse(g.neighborhood_array))
     else:
-        outcome = lex_code_sparse(g.neighborhood_array, None if identity else sequence)
+        # sequence_for's check of an explicit order is the only one; an ordered run of
+        # either constructor is the one scan.in_order scan, so --dense builds no matrix
+        sequence = strategy.sequence_for(g, SplitMix64(seed))
+        outcome = _run_ordered(g.neighborhood_array, sequence)
     header = {"schema": 1, "n": g.n, "algorithm": algorithm, "ordering": strategy.kind}
     if isinstance(outcome, TwinFailure):
         pair = tuple(sorted((sequence[outcome.k - 1], sequence[outcome.j - 1])))

@@ -6,6 +6,7 @@ integer bitsets used throughout the package, so the bitset of {1} is 1.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -130,14 +131,17 @@ class Graph:
 
     @cached_property
     def neighborhood_array(self) -> NeighborhoodArray:
-        """Sorted-list view: entry j is the ascending tuple of N(v_j)."""
-        adj = [[v] for v in range(self.n + 1)]
-        adj[0].clear()
+        """Sorted-list view: entry j is the ascending tuple of N(v_j).
+
+        Filled from the stored pairs u < v in increasing order, each list
+        arrives sorted, lower neighbours before higher ones, so only v itself
+        is inserted, by bisection."""
+        adj: list[list[int]] = [[] for _ in range(self.n + 1)]
         for u, v in zip(self._us, self._vs):
             adj[u].append(v)
             adj[v].append(u)
-        for members in adj:
-            members.sort()
+        for v in range(1, self.n + 1):
+            insort(adj[v], v)
         return NeighborhoodArray(self.n, tuple(map(tuple, adj)))
 
 
@@ -294,10 +298,12 @@ def _canonical(n: int, us: list[int], vs: list[int],
     """(us, vs): the edges (us[i], vs[i]) of exact ints as lists of pairs u < v
     in strictly increasing order (the lists given if `oriented` vouches every
     us[i] < vs[i] or all are, and they already increase); or None if one pair
-    breaks an edge rule.  Every check is one pass in C over all endpoints: no
-    self-loop, endpoints in 1..n, and no pair twice, which shows, only if the
-    pairs do not already increase, as two equal neighbours among their sorted
-    keys u * (n + 1) + v.
+    breaks an edge rule.  Every check is one pass in C over all endpoints, in
+    this order: no self-loop; whether the oriented pairs already increase;
+    endpoints in 1..n, which on increasing pairs is us[0] >= 1 and one max(vs)
+    pass, and otherwise min(us) and max(vs), before any key is built; and, only
+    if the pairs do not increase, no pair twice, which shows as two equal
+    neighbours among their sorted keys u * (n + 1) + v.
     """
     if not oriented and not all(map(lt, us, vs)):
         if any(map(eq, us, vs)):
@@ -305,12 +311,12 @@ def _canonical(n: int, us: list[int], vs: list[int],
         # one comprehension per list: a min() or max() call per pair costs ~4x its comparison
         us, vs = ([u if u < v else v for u, v in zip(us, vs)],
                   [v if u < v else u for u, v in zip(us, vs)])
-    if us and (min(us) < 1 or max(vs) > n):
-        return None
     ordered, later = zip(us, vs), zip(us, vs)
     next(later, None)  # one pair ahead of ordered
-    if all(map(lt, ordered, later)):
-        return us, vs
+    if all(map(lt, ordered, later)):  # so us[0] is the smallest endpoint
+        return (us, vs) if not us or us[0] >= 1 and max(vs) <= n else None
+    if min(us) < 1 or max(vs) > n:
+        return None
     keys = list(map(add, map(mul, us, repeat(n + 1)), vs))  # ints: untracked by GC
     us, vs = _decoded(keys, n + 1)
     later = iter(keys)

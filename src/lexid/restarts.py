@@ -26,7 +26,7 @@ from typing import Sequence
 from .graph import Code, Graph, TwinFailure, TwinsError, find_twins
 from .orderings import OrderingStrategy, as_strategy, code_to_original
 from .rng import SplitMix64, derive_seed
-from .sparse import _run
+from .sparse import _run_ordered
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,7 @@ def run_restarts(
     for child in seeds[:1] if once else seeds:
         start = time.perf_counter()
         sequence = strategy.sequence_for(g, SplitMix64(child))
-        position = [0] * (g.n + 1)
-        for p, v in enumerate(sequence, 1):
-            position[v] = p
-        outcome = _run(array, [0, *sequence], position)
+        outcome = _run_ordered(array, sequence)
         if isinstance(outcome, TwinFailure):  # only the first run can fail: twins survive any order
             raise TwinsError(find_twins(g))
         if best_by_position is None or len(outcome) < len(best_by_position):

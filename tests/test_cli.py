@@ -389,13 +389,13 @@ class TestRestartsCommand:
     def test_a_failing_restart_exits_one(self, fixture_file, monkeypatch, capsys):
         constructions = []
 
-        def construct(array, order, position):
+        def construct(array, sequence):
             constructions.append(array)
             if len(constructions) == 3:
                 raise ValueError("restart 2 failed")
-            return lexid.sparse._run(array, order, position)
+            return lexid.sparse._run_ordered(array, sequence)
 
-        monkeypatch.setattr(lexid.restarts, "_run", construct)
+        monkeypatch.setattr(lexid.restarts, "_run_ordered", construct)
         assert main(["restarts", "--restarts", "4", fixture_file]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -536,6 +536,7 @@ class TestMatrixBuilds:
         ["code"],
         ["code", "--json"],
         ["code", "--ordering", "random"],
+        ["code", "--dense", "--ordering", "random"],
         ["verify", "--code", "ALL"],
         ["twins"],
         ["restarts", "--restarts", "2"],
@@ -563,8 +564,8 @@ class TestMatrixBuilds:
             init(self, *args)
 
         monkeypatch.setattr(ClosedNeighborhoodMatrix, "__init__", counting_init)
-        assert main(["code", "--dense", "--ordering", "random", "--seed", "3", fixture_file]) == 0
-        assert capsys.readouterr().out == "3 4 5 6 8 9\n6\n"
+        assert main(["code", "--dense", fixture_file]) == 0
+        assert capsys.readouterr().out == "1 2 3 4 5 6\n6\n"
         assert len(built) == 1  # the counter does see a build
 
     def test_an_ordered_dense_run_holds_no_second_matrix(self):

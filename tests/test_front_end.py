@@ -6,7 +6,7 @@ calls."""
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lexid.graphio
@@ -16,7 +16,7 @@ from lexid import (
 )
 from lexid.cli import main
 from lexid.generate import FAMILIES
-from lexid.graph import EdgeError
+from lexid.graph import EdgeError, _first_fault
 
 from calls import python_calls, traced_peak
 from oracles import (
@@ -446,6 +446,35 @@ def test_from_endpoints_agrees_with_the_constructor(case):
     else:
         g = Graph._from_int_endpoints(n, list(us), list(vs))
         assert (g.n, g.pairs, g.edges) == (want.n, want.pairs, want.edges)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(2, 12), st.data(), st.sampled_from(["0", "n + 1"]), st.booleans(), st.booleans())
+def test_an_endpoint_out_of_range_is_named_as_the_per_pair_walk_names_it(n, data, bad, flip, increasing):
+    # both branches of the bulk range check: one us[0] and one max(vs) pass on
+    # pairs that increase, min(us) and max(vs) before the sort on any others
+    edges = sorted(data.draw(st.sets(st.sampled_from(list(combinations(range(1, n + 1), 2))))))
+    other = data.draw(st.integers(1, n))
+    fault = (0, other) if bad == "0" else (other, n + 1)
+    if increasing:
+        pairs = sorted([*edges, fault])
+    else:
+        pairs = data.draw(st.permutations([*edges, fault]))
+        assume(pairs != sorted(pairs))
+    at = pairs.index(fault)
+    if flip:
+        pairs[at] = fault[::-1]
+    want = _first_fault(n, pairs)
+    assert (want.index, str(want)) == (at, f"edge {pairs[at]} has an endpoint outside 1..{n}")
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    builds = [lambda: Graph(n, pairs), lambda: Graph(n, iter(pairs)),
+              lambda: Graph._from_int_endpoints(n, list(us), list(vs))]
+    if not flip:  # every pair is u < v, as a caller of `oriented` vouches
+        builds.append(lambda: Graph._from_int_endpoints(n, list(us), list(vs), oriented=True))
+    for build in builds:
+        with pytest.raises(EdgeError) as info:
+            build()
+        assert (info.value.index, str(info.value)) == (want.index, str(want))
 
 
 def test_graph_keeps_no_second_copy_of_each_edge():

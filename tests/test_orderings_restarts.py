@@ -409,8 +409,8 @@ class TestRunRestarts:
         path.write_text(to_edge_list(nonminimal_grid_fixture()))
         assert main(["code", *["--dense"] * dense, "--ordering", "random", "--seed", "3", str(path)]) == 0
         assert capsys.readouterr() == ("3 4 5 6 8 9\n6\n", "")
-        # the one array, the matrix derived from it under --dense, and no relabeled graph
-        assert builds == ["NeighborhoodArray.__init__"] + ["ClosedNeighborhoodMatrix.__init__"] * dense
+        # the one array, under --dense too, and no relabeled graph
+        assert builds == ["NeighborhoodArray.__init__"]
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_n=12), st.sampled_from(["random", "degree-asc", "degree-desc"]), st.integers(0, 2**64 - 1))
@@ -452,7 +452,7 @@ class TestRunRestarts:
         with pytest.raises(ValueError) as single:
             run_restarts(g, (1, 2, 3), 1, seed=0)
         constructions = []
-        monkeypatch.setattr(lexid.restarts, "_run", constructions.append)
+        monkeypatch.setattr(lexid.restarts, "_run_ordered", constructions.append)
         with pytest.raises(ValueError) as info:
             run_restarts(g, (1, 2, 3), 8, seed=0)
         assert str(info.value) == str(single.value) == "not a permutation of 1..9: (1, 2, 3)"
@@ -468,14 +468,14 @@ class TestRunRestarts:
             return sequence_for(self, g, rng)
 
         constructions = []
-        run = lexid.restarts._run
+        run = lexid.restarts._run_ordered
 
-        def counting_construct(array, order, position):
+        def counting_construct(array, sequence):
             constructions.append(array)
-            return run(array, order, position)
+            return run(array, sequence)
 
         monkeypatch.setattr(OrderingStrategy, "sequence_for", counting_sequence_for)
-        monkeypatch.setattr(lexid.restarts, "_run", counting_construct)
+        monkeypatch.setattr(lexid.restarts, "_run_ordered", counting_construct)
         report = run_restarts(nonminimal_grid_fixture(), strategy, 20, seed=0)
         assert len(calls) == len(constructions) == 1
         assert len(set(report.cardinalities)) == 1
@@ -582,13 +582,13 @@ class TestRestartLoop:
         # restart 3 fails: its exception reaches the caller and no later restart runs
         constructions = []
 
-        def construct(array, order, position):
+        def construct(array, sequence):
             constructions.append(array)
             if len(constructions) == 4:
                 raise failure("restart 3 failed")
-            return lexid.sparse._run(array, order, position)
+            return lexid.sparse._run_ordered(array, sequence)
 
-        monkeypatch.setattr(lexid.restarts, "_run", construct)
+        monkeypatch.setattr(lexid.restarts, "_run_ordered", construct)
         with pytest.raises(failure) as info:
             run_restarts(nonminimal_grid_fixture(), "random", 9, seed=0)
         assert info.value.args == ("restart 3 failed",)
