@@ -511,7 +511,7 @@ class TestBenchCommand:
 
 
 class TestMatrixBuilds:
-    """Only the dense paths build the n²-bit matrix; the sparse paths read the sorted lists."""
+    """Only an index-order dense run builds the n²-bit matrix; every other code run reads the sorted lists."""
 
     @pytest.fixture
     def isolated_file(self, tmp_path):
@@ -537,6 +537,7 @@ class TestMatrixBuilds:
         ["code", "--json"],
         ["code", "--ordering", "random"],
         ["code", "--dense", "--ordering", "random"],
+        ["code", "--dense", "--ordering", "explicit", "--perm", "ALL"],
         ["verify", "--code", "ALL"],
         ["twins"],
         ["restarts", "--restarts", "2"],
