@@ -19,7 +19,7 @@ import csv
 import io
 import math
 import statistics
-import time
+import timeit
 from dataclasses import dataclass
 
 from .dense import DenseWorkTally, lex_code_dense
@@ -95,22 +95,13 @@ def fit_loglog_slope(points: list[tuple[float, float]]) -> float:
         raise ValueError("slope fit needs at least two points")
     xs = [math.log(x) for x, _ in points]
     ys = [math.log(y) for _, y in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
+    if len(set(xs)) < 2:
         raise ValueError("slope fit needs at least two distinct sizes")
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return sxy / sxx
+    return statistics.linear_regression(xs, ys).slope
 
 
 def _median_time(run, repetitions: int) -> float:
-    times = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        run()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(timeit.repeat(run, number=1, repeat=repetitions))
 
 
 def bench(
@@ -125,7 +116,8 @@ def bench(
     Each instance is relabeled by a uniform permutation drawn from
     derive_seed(seed, n) before measurement (see the module docstring).  Per
     instance: one instrumented run per algorithm for the deterministic work
-    counters, plus wall-time medians over `repetitions` uninstrumented runs.
+    counters, plus wall-time medians over `repetitions` uninstrumented runs,
+    timed by timeit, which pauses the cyclic collector for each run.
     The instrumented dense run comes first; if it fails on twins, the instance
     is skipped with find_twins' pair.  Dense and sparse outputs are
     cross-checked on every instance.  An unknown family, or with gnp a gnp_p

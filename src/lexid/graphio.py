@@ -299,6 +299,7 @@ def detect_format(text: str) -> str:
 
 def parse_graph(text: str, fmt: str = "auto") -> Graph:
     """Parse text in the named format; 'auto' sniffs DIMACS by its line tags."""
+    text = _normalized(text)  # once, so that neither detect_format nor the parser copies it
     if fmt == "auto":
         fmt = detect_format(text)
     if fmt == "edgelist":

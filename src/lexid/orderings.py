@@ -45,10 +45,8 @@ class OrderingStrategy:
             seq = list(range(1, g.n + 1))
             rng.shuffle(seq)
             return seq
-        if self.kind == "degree-asc":
-            return sorted(range(1, g.n + 1), key=lambda v: (g.degrees[v], v))
-        if self.kind == "degree-desc":
-            return sorted(range(1, g.n + 1), key=lambda v: (-g.degrees[v], v))
+        if self.kind in ("degree-asc", "degree-desc"):  # stable, reversed or not: ties keep index order
+            return sorted(range(1, g.n + 1), key=g.degrees.__getitem__, reverse=self.kind == "degree-desc")
         seq = list(self.sequence)  # explicit
         _positions(seq, g.n)
         return seq

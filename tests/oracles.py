@@ -9,6 +9,7 @@ in a processing order is checked against.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from lexid import Code, Graph, NeighborhoodArray, ParseError, SplitMix64
@@ -200,6 +201,18 @@ def reference_gnp(n: int, p: float, seed: int) -> tuple[tuple[int, int], ...]:
     lexicographic order and keep one when its uniform double is < p."""
     rng = SplitMix64(seed)
     return tuple((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p)
+
+
+def reference_loglog_slope(points) -> float:
+    """The least-squares slope of log(y) against log(x), from its closed form
+    sxy / sxx about the means; ZeroDivisionError when every x is equal."""
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return sxy / sxx
 
 
 def reference_serialization(g: Graph, dimacs: bool) -> str:

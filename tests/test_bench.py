@@ -3,9 +3,13 @@ import importlib
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexid import Code, bench, fit_loglog_slope, near_square_grid
 from lexid.cli import main
+
+from oracles import reference_loglog_slope
 
 
 class TestHelpers:
@@ -30,6 +34,29 @@ class TestHelpers:
             fit_loglog_slope([(4.0, 2.0)])
         with pytest.raises(ValueError, match="at least two distinct sizes"):
             fit_loglog_slope([(4.0, 2.0), (4.0, 3.0)])
+
+    def test_fit_keeps_both_messages(self):
+        with pytest.raises(ValueError) as info:
+            fit_loglog_slope([(4.0, 2.0)])
+        assert str(info.value) == "slope fit needs at least two points"
+        # three logs of 410 have a float mean that differs from each in the last
+        # bit, so their squared deviations do not sum to zero; it is still one size
+        for points in ([(4.0, 2.0), (4.0, 3.0)], [(1.0, 5.0)] * 3, [(410.0, 1.0), (410.0, 2.0), (410.0, 3.0)]):
+            with pytest.raises(ValueError) as info:
+                fit_loglog_slope(points)
+            assert str(info.value) == "slope fit needs at least two distinct sizes"
+
+    @settings(max_examples=300, derandomize=True)
+    # sizes as bench takes them; the slope then stays below ~1.5e5, where the
+    # two summations can part by far less than 1e-9
+    @given(st.lists(st.tuples(st.integers(1, 4096), st.floats(1e-3, 1e12)), min_size=2, max_size=12))
+    def test_fit_matches_the_closed_form(self, pairs):
+        points = [(float(x), y) for x, y in pairs]
+        if len({x for x, _ in points}) < 2:
+            with pytest.raises(ValueError, match="at least two distinct sizes"):
+                fit_loglog_slope(points)
+        else:
+            assert fit_loglog_slope(points) == pytest.approx(reference_loglog_slope(points), rel=0, abs=1e-9)
 
 
 class TestBench:

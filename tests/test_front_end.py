@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 import lexid.graphio
 from lexid import (
     Graph, ParseError, apply_sequence, find_twins, gnp_graph, grid_graph, is_identifying_code,
-    lex_code_dense, lex_code_sparse, parse_graph, path_graph, to_dimacs, to_edge_list,
+    lex_code_dense, lex_code_sparse, parse_dimacs, parse_edge_list, parse_graph, path_graph, to_dimacs,
+    to_edge_list,
 )
 from lexid.cli import main
 from lexid.generate import FAMILIES
 from lexid.graph import EdgeError, _first_fault
+from lexid.graphio import detect_format
 
 from calls import python_calls, traced_peak
 from oracles import (
@@ -269,6 +271,42 @@ def test_a_canonical_body_never_reaches_the_line_walk(monkeypatch, serialize, li
             text = text[:-len(line_end)]
         assert len(text) > 3 * lexid.graphio.PIECE_CHARS
         assert parse_graph(text) == g
+
+
+@pytest.mark.parametrize("auto", [True, False])
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+@pytest.mark.parametrize("serialize", [to_edge_list, to_dimacs])
+def test_a_file_with_cr_line_breaks_is_normalized_once(monkeypatch, serialize, line_end, auto):
+    # detect_format and the parser find the text parse_graph normalized and
+    # copy nothing more; each copy is a call that returns a new string
+    g = gnp_graph(64, 0.2, seed=0)
+    normalized, copies = lexid.graphio._normalized, []
+
+    def counted(piece):
+        out = normalized(piece)
+        if out is not piece:
+            copies.append(out)
+        return out
+
+    monkeypatch.setattr(lexid.graphio, "_normalized", counted)
+    fmt = "auto" if auto else "dimacs" if serialize is to_dimacs else "edgelist"
+    assert parse_graph(serialize(g).replace("\n", line_end), fmt) == g
+    assert copies == [serialize(g)]
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+@pytest.mark.parametrize("serialize, parse, fmt", [(to_edge_list, parse_edge_list, "edgelist"),
+                                                   (to_dimacs, parse_dimacs, "dimacs")])
+def test_the_parsers_and_detect_format_take_cr_line_breaks_on_their_own(serialize, parse, fmt, line_end):
+    g = gnp_graph(64, 0.2, seed=0)
+    text = ("c a comment\n" if fmt == "dimacs" else "# a comment\n") + serialize(g)
+    text = text.replace("\n", line_end)
+    assert detect_format(text) == fmt
+    assert parse(text) == g
+    # a fault is named at its line of the un-normalized text: after the comment, the header and the edges
+    with pytest.raises(ParseError) as info:
+        parse(text + ("e 1 x" if fmt == "dimacs" else "1 x") + line_end)
+    assert info.value.line == len(g.edges) + 3
 
 
 # Bodies with blank lines, whitespace-only lines, '#' lines, DIMACS 'c' lines

@@ -18,9 +18,12 @@ from lexid import (
     TwinsError,
     apply_sequence,
     code_to_original,
+    cycle_graph,
     derive_seed,
     find_twins,
     gnp_graph,
+    grid_graph,
+    hypercube_graph,
     is_identifying_code,
     lex_code_dense,
     lex_code_sparse,
@@ -222,6 +225,19 @@ class TestOrderingStrategy:
         g = path_graph(4)  # degrees 1,2,2,1
         assert OrderingStrategy("degree-asc").sequence_for(g) == [1, 4, 2, 3]
         assert OrderingStrategy("degree-desc").sequence_for(g) == [2, 3, 1, 4]
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.one_of(
+        # few degree values among many vertices, or one value shared by all
+        st.builds(gnp_graph, st.integers(1, 60), st.sampled_from([0.02, 0.05, 0.1, 0.5, 0.95]), st.integers(0, 999)),
+        st.builds(grid_graph, st.integers(1, 8), st.integers(1, 8)),
+        st.builds(cycle_graph, st.integers(3, 40)),
+        st.builds(hypercube_graph, st.integers(0, 5)),
+    ))
+    def test_degree_orders_match_the_tuple_key_sorts(self, g):
+        n, deg = g.n, g.degrees
+        assert OrderingStrategy("degree-asc").sequence_for(g) == sorted(range(1, n + 1), key=lambda v: (deg[v], v))
+        assert OrderingStrategy("degree-desc").sequence_for(g) == sorted(range(1, n + 1), key=lambda v: (-deg[v], v))
 
     def test_random_deterministic_given_rng(self):
         g = path_graph(9)
